@@ -37,19 +37,24 @@ at sizes the engine cannot reach.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..dht.ring import ChordRing
 from ..minerva.directory import Directory
 from ..minerva.posts import Post
 from ..parallel.seeding import derive_seed
 from ..routing.base import LocalView
+from ..synopses.base import SetSynopsis
 from ..synopses.factory import SynopsisSpec
 from .queries import Query
 
 __all__ = ["ScaledTestbedConfig", "ScaledTestbed"]
 
-#: Peers per ``publish_batch`` call: bounds transient Post objects.
+#: Peers per ``publish_batch`` call (and per batched synopsis build):
+#: bounds transient Post objects.
 _PUBLISH_CHUNK = 2_000
 
 
@@ -184,18 +189,23 @@ class ScaledTestbed:
         topical neighbours overlap and foreign posts still carry
         on-topic documents.
         """
+        return frozenset(self._sampled_doc_ids(index, term))
+
+    def _sampled_doc_ids(self, index: int, term: str) -> list[int]:
+        """:meth:`doc_ids` as drawn: distinct ids in sampling order."""
         config = self.config
         rng = random.Random(derive_seed(config.seed, f"docs:{index}:{term}"))
         low, high = config.docs_per_term
         count = rng.randint(low, high)
         base = self.topic_of_term(term) * config.topic_pool
-        return frozenset(
+        return [
             base + offset
             for offset in rng.sample(range(config.topic_pool), count)
-        )
+        ]
 
-    def _post_for(self, index: int, term: str) -> Post:
-        ids = self.doc_ids(index, term)
+    def _post_for(
+        self, index: int, term: str, cdf: int, synopsis: SetSynopsis
+    ) -> Post:
         rng = random.Random(
             derive_seed(self.config.seed, f"scores:{index}:{term}")
         )
@@ -203,24 +213,43 @@ class ScaledTestbed:
         return Post(
             peer_id=self.peer_id(index),
             term=term,
-            cdf=len(ids),
+            cdf=cdf,
             max_score=max_score,
             avg_score=max_score * (0.3 + 0.4 * rng.random()),
             term_space_size=self.config.terms_per_topic
             + self.config.noise_terms,
-            synopsis=self.spec.build(ids),
+            synopsis=synopsis,
         )
 
     def _publish_all(self) -> None:
-        batch: list[Post] = []
-        for index in range(self.config.num_peers):
-            for term in self.peer_terms(index):
-                batch.append(self._post_for(index, term))
-            if index % _PUBLISH_CHUNK == _PUBLISH_CHUNK - 1:
-                self.directory.publish_batch(batch)
-                batch = []
-        if batch:
-            self.directory.publish_batch(batch)
+        """Publish every peer's Posts, one synopsis batch per chunk.
+
+        Each chunk's doc ids stream into one flat ``uint64`` buffer (no
+        per-Post sets are held) and :meth:`SynopsisSpec.build_packed`
+        builds all of the chunk's synopses in one vectorized pass.
+        """
+        num_peers = self.config.num_peers
+        for first in range(0, num_peers, _PUBLISH_CHUNK):
+            keys: list[tuple[int, str]] = []
+            flat_ids = array("Q")
+            counts: list[int] = []
+            for index in range(first, min(first + _PUBLISH_CHUNK, num_peers)):
+                for term in self.peer_terms(index):
+                    ids = self._sampled_doc_ids(index, term)
+                    keys.append((index, term))
+                    flat_ids.extend(ids)
+                    counts.append(len(ids))
+            synopses = self.spec.build_packed(
+                np.frombuffer(flat_ids, dtype=np.uint64), counts
+            )
+            self.directory.publish_batch(
+                [
+                    self._post_for(index, term, cdf, synopsis)
+                    for (index, term), cdf, synopsis in zip(
+                        keys, counts, synopses
+                    )
+                ]
+            )
 
     # -- queries and measurement ------------------------------------------
 

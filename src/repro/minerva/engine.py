@@ -180,15 +180,29 @@ class MinervaEngine:
                 if terms is None
                 else {t for t in terms if t in peer.index}
             )
-            for term in sorted(peer_terms):
-                self.directory.publish(
-                    peer.build_post(term, with_histogram=with_histogram)
-                )
-                published += 1
+            published += self._publish_peer(
+                peer, peer_terms, with_histogram=with_histogram
+            )
         self._published_terms.update(
             terms if terms is not None else self.all_terms()
         )
         return published
+
+    def _publish_peer(
+        self, peer: Peer, terms: Iterable[str], *, with_histogram: bool
+    ) -> int:
+        """Post ``peer``'s summaries for ``terms`` in sorted order.
+
+        The synopses are built in one batch first; returns the number of
+        Posts published.
+        """
+        ordered = sorted(terms)
+        peer.prime_synopses(ordered)
+        for term in ordered:
+            self.directory.publish(
+                peer.build_post(term, with_histogram=with_histogram)
+            )
+        return len(ordered)
 
     def all_terms(self) -> set[str]:
         terms: set[str] = set()
@@ -229,10 +243,7 @@ class MinervaEngine:
             if publish_terms is None
             else {t for t in publish_terms if t in peer.index}
         )
-        for term in sorted(terms):
-            self.directory.publish(
-                peer.build_post(term, with_histogram=with_histogram)
-            )
+        self._publish_peer(peer, terms, with_histogram=with_histogram)
         self._published_terms.update(terms)
         # The union of collections changed; the reference engine must be
         # rebuilt lazily on next access.
@@ -288,11 +299,10 @@ class MinervaEngine:
         peer = self._get_peer(peer_id)
         drifted = peer.add_documents(documents, drift_factor=drift_factor)
         self._reference_index = None
-        terms = drifted if republish_terms is None else sorted(republish_terms)
-        for term in terms:
-            if term in peer.index:
-                self.directory.publish(peer.build_post(term))
-        self._published_terms.update(t for t in terms if t in peer.index)
+        terms = drifted if republish_terms is None else republish_terms
+        held = [term for term in terms if term in peer.index]
+        self._publish_peer(peer, held, with_histogram=False)
+        self._published_terms.update(held)
         return drifted
 
     def purge_posts_of(self, peer_id: str) -> int:

@@ -60,6 +60,20 @@ class Peer:
             self._synopsis_cache[term] = cached
         return cached
 
+    def prime_synopses(self, terms: Iterable[str]) -> None:
+        """Build the uncached synopses of ``terms`` in one batch.
+
+        Fills the same cache :meth:`synopsis` reads, with the same
+        synopses (:meth:`SynopsisSpec.build_batch` equals per-term
+        :meth:`SynopsisSpec.build`), so publishing many terms costs one
+        vectorized hash pass instead of one build per term.
+        """
+        missing = [term for term in terms if term not in self._synopsis_cache]
+        if not missing:
+            return
+        built = self.spec.build_batch(self.index.doc_ids(term) for term in missing)
+        self._synopsis_cache.update(zip(missing, built))
+
     def histogram_synopsis(self, term: str) -> ScoreHistogramSynopsis:
         """The score-histogram synopsis of Section 7.1 (cached).
 

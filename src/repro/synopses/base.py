@@ -15,7 +15,9 @@ two synopses at a time, so a small, pure API suffices.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "SynopsisError",
@@ -61,6 +63,27 @@ class SetSynopsis(abc.ABC):
     @abc.abstractmethod
     def from_ids(cls, ids: Iterable[int], **params: Any) -> "SetSynopsis":
         """Build a synopsis summarizing ``ids``."""
+
+    @classmethod
+    def from_id_batch(
+        cls, flat_ids: np.ndarray, counts: Sequence[int] | np.ndarray, **params: Any
+    ) -> "list[SetSynopsis]":
+        """One synopsis per set of a packed batch.
+
+        ``flat_ids`` (uint64) holds every set's ids back to back,
+        ``counts[i]`` of them for set ``i`` (see
+        :func:`~repro.synopses.hashing.pack_id_sets`).  The result must be
+        equal, payload for payload, to ``from_ids`` over each segment.
+        This default is that map; families with a vectorized kernel
+        (Bloom filters, MIPs) override it.
+        """
+        if len(counts) == 0:
+            return []
+        bounds = np.cumsum(np.asarray(counts, dtype=np.int64))[:-1]
+        return [
+            cls.from_ids(segment.tolist(), **params)
+            for segment in np.split(flat_ids, bounds)
+        ]
 
     @abc.abstractmethod
     def empty_like(self) -> "SetSynopsis":

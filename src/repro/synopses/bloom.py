@@ -26,12 +26,17 @@ keeps the object immutable and hashable.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .base import IncompatibleSynopsesError, SetSynopsis
-from .hashing import ids_to_uint64_array, uniform_hash, uniform_hash_array
+from .hashing import (
+    ids_to_uint64_array,
+    segment_rows,
+    uniform_hash,
+    uniform_hash_array,
+)
 
 __all__ = [
     "BloomFilter",
@@ -41,6 +46,7 @@ __all__ = [
     "pack_bit_row",
     "pack_bit_rows",
     "batch_difference_popcounts",
+    "bloom_word_rows",
 ]
 
 
@@ -113,6 +119,38 @@ def pack_bit_rows(bit_vectors: Iterable[int], num_bits: int) -> np.ndarray:
     return rows.copy()
 
 
+def bloom_word_rows(
+    flat_ids: np.ndarray,
+    counts: Sequence[int] | np.ndarray,
+    num_bits: int,
+    num_hashes: int,
+    seed: int,
+) -> np.ndarray:
+    """Bloom bit vectors of many id sets as a ``(C, ceil(m/64))`` uint64 matrix.
+
+    ``flat_ids`` (uint64) holds the ids of all ``C = len(counts)`` sets
+    back to back, ``counts[i]`` of them for set ``i``.  Each probe is
+    hashed once over the whole array and its bit positions are OR-ed
+    into the set's row, so row ``i`` is bit-for-bit the filter of set
+    ``i`` — the layout :func:`pack_bit_rows` gives its big-int payload.
+    """
+    num_words = (num_bits + 63) // 64
+    rows = np.zeros((len(counts), num_words), dtype=np.uint64)
+    if flat_ids.size == 0:
+        return rows
+    row_of_id = segment_rows(counts)
+    for probe in range(num_hashes):
+        positions = uniform_hash_array(flat_ids, seed ^ (probe + 1)) % np.uint64(
+            num_bits
+        )
+        np.bitwise_or.at(
+            rows,
+            (row_of_id, (positions >> np.uint64(6)).astype(np.intp)),
+            np.uint64(1) << (positions & np.uint64(63)),
+        )
+    return rows
+
+
 def batch_difference_popcounts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarray:
     """Popcount of ``row AND NOT reference`` for every packed row.
 
@@ -171,23 +209,43 @@ class BloomFilter(SetSynopsis):
     ) -> "BloomFilter":
         """Build a filter containing every id in ``ids``.
 
-        Vectorized: all ``k * n`` probe positions are hashed as arrays
-        and deduplicated before the bit vector is assembled, identical
-        bit-for-bit to inserting ids one at a time.
+        A batch of one through :meth:`from_id_batch`'s kernel, identical
+        bit-for-bit to inserting ids one at a time with :meth:`add`.
         """
         id_array = ids_to_uint64_array(ids)
-        if id_array.size == 0:
-            return cls(num_bits, num_hashes, seed, 0)
-        positions: set[int] = set()
-        for probe in range(num_hashes):
-            hashed = uniform_hash_array(id_array, seed ^ (probe + 1))
-            positions.update(
-                np.unique(hashed % np.uint64(num_bits)).tolist()
+        return cls.from_id_batch(
+            id_array,
+            [id_array.size],
+            num_bits=num_bits,
+            num_hashes=num_hashes,
+            seed=seed,
+        )[0]
+
+    @classmethod
+    def from_id_batch(  # type: ignore[override]
+        cls,
+        flat_ids: np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+        *,
+        num_bits: int = 2048,
+        num_hashes: int = 7,
+        seed: int = 0,
+    ) -> "list[BloomFilter]":
+        """One filter per set of a packed batch (see :func:`bloom_word_rows`)."""
+        if num_bits <= 0:
+            raise ValueError(f"num_bits must be positive, got {num_bits}")
+        rows = bloom_word_rows(flat_ids, counts, num_bits, num_hashes, seed)
+        payload = memoryview(rows.astype("<u8", copy=False).tobytes())
+        stride = rows.shape[1] * 8
+        return [
+            cls(
+                num_bits,
+                num_hashes,
+                seed,
+                int.from_bytes(payload[i * stride : (i + 1) * stride], "little"),
             )
-        bits = 0
-        for position in positions:
-            bits |= 1 << position
-        return cls(num_bits, num_hashes, seed, bits)
+            for i in range(rows.shape[0])
+        ]
 
     def empty_like(self) -> "BloomFilter":
         return BloomFilter(self._num_bits, self._num_hashes, self._seed)

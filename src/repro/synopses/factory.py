@@ -12,10 +12,13 @@ labels a canonical, parseable form — ``"mips-64"``, ``"bf-2048"``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .base import SetSynopsis
 from .bloom import BloomFilter
+from .hashing import pack_id_sets
 from .hashsketch import HashSketch
 from .loglog import REGISTER_BITS as LOGLOG_REGISTER_BITS
 from .loglog import LogLogCounter
@@ -165,26 +168,51 @@ class SynopsisSpec:
 
     # -- construction -----------------------------------------------------
 
+    def _family(self) -> tuple[type[SetSynopsis], dict[str, Any]]:
+        """The synopsis class this spec builds and its ``from_ids`` params."""
+        if self.kind == "mips":
+            return MinWisePermutations, {
+                "num_permutations": self.parameter,
+                "seed": self.seed,
+            }
+        if self.kind == "bloom":
+            return BloomFilter, {
+                "num_bits": self.parameter,
+                "num_hashes": self.num_hashes,
+                "seed": self.seed,
+            }
+        if self.kind == "loglog":
+            return LogLogCounter, {"num_buckets": self.parameter, "seed": self.seed}
+        return HashSketch, {
+            "num_bitmaps": self.parameter,
+            "bitmap_length": self.bitmap_length,
+            "seed": self.seed,
+        }
+
     def build(self, ids: Iterable[int]) -> SetSynopsis:
         """Construct a synopsis of ``ids`` per this configuration."""
-        if self.kind == "mips":
-            return MinWisePermutations.from_ids(
-                ids, num_permutations=self.parameter, seed=self.seed
-            )
-        if self.kind == "bloom":
-            return BloomFilter.from_ids(
-                ids, num_bits=self.parameter, num_hashes=self.num_hashes, seed=self.seed
-            )
-        if self.kind == "loglog":
-            return LogLogCounter.from_ids(
-                ids, num_buckets=self.parameter, seed=self.seed
-            )
-        return HashSketch.from_ids(
-            ids,
-            num_bitmaps=self.parameter,
-            bitmap_length=self.bitmap_length,
-            seed=self.seed,
-        )
+        cls, params = self._family()
+        return cls.from_ids(ids, **params)
+
+    def build_batch(self, id_sets: Iterable[Iterable[int]]) -> list[SetSynopsis]:
+        """One synopsis per id set, equal to ``[self.build(s) for s in id_sets]``.
+
+        Bloom filters and MIPs hash the whole batch in one vectorized
+        pass; the other families map :meth:`build`.
+        """
+        return self.build_packed(*pack_id_sets(id_sets))
+
+    def build_packed(
+        self, flat_ids: np.ndarray, counts: Sequence[int] | np.ndarray
+    ) -> list[SetSynopsis]:
+        """:meth:`build_batch` over already packed ids.
+
+        ``flat_ids`` (uint64) holds every set's ids back to back,
+        ``counts[i]`` of them for set ``i``; callers that generate ids
+        stream them straight into this form instead of holding sets.
+        """
+        cls, params = self._family()
+        return cls.from_id_batch(flat_ids, counts, **params)
 
     def empty(self) -> SetSynopsis:
         """An empty synopsis of this configuration (IQN's initial reference)."""

@@ -16,13 +16,15 @@ avalanche behaviour, implemented in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "MERSENNE_PRIME_61",
     "ids_to_uint64_array",
+    "pack_id_sets",
+    "segment_rows",
     "splitmix64",
     "splitmix64_array",
     "uniform_hash",
@@ -69,6 +71,32 @@ def ids_to_uint64_array(ids: Iterable[int] | np.ndarray) -> np.ndarray:
     # inputs raise TypeError from the bitwise mask, as before.
     return np.fromiter(
         (i & _MASK64 for i in id_list), dtype=np.uint64, count=len(id_list)
+    )
+
+
+def pack_id_sets(
+    id_sets: Iterable[Iterable[int] | np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack id sets into one ``uint64`` array plus a per-set count array.
+
+    The packed form every batched synopsis builder takes: set ``i``'s
+    ids (converted by :func:`ids_to_uint64_array`, so they wrap exactly
+    as a single-set build would) occupy the next ``counts[i]`` slots.
+    """
+    arrays = [ids_to_uint64_array(ids) for ids in id_sets]
+    counts = np.fromiter(
+        (array.size for array in arrays), dtype=np.int64, count=len(arrays)
+    )
+    if not arrays:
+        return np.empty(0, dtype=np.uint64), counts
+    return np.concatenate(arrays), counts
+
+
+def segment_rows(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Row index of every packed id: ``i`` repeated ``counts[i]`` times."""
+    return np.repeat(
+        np.arange(len(counts), dtype=np.intp),
+        np.asarray(counts, dtype=np.intp),
     )
 
 

@@ -89,7 +89,7 @@ class ScoreHistogramSynopsis:
         buckets: list[list[int]] = [[] for _ in range(num_cells)]
         for doc_id, score in scored_ids:
             buckets[cell_index(score, num_cells)].append(doc_id)
-        cells = tuple(spec.build(bucket) for bucket in buckets)
+        cells = tuple(spec.build_batch(buckets))
         cardinalities = tuple(float(len(bucket)) for bucket in buckets)
         return cls(cells=cells, cell_cardinalities=cardinalities, spec=spec)
 

@@ -21,7 +21,8 @@ over the summarized set (Figure 1 of the paper).  Its key properties:
 Implementation notes
 --------------------
 Building a synopsis evaluates ``N`` linear hashes over the whole id set;
-we vectorize this with NumPy.  To keep ``a * x + b`` inside unsigned
+we vectorize this with NumPy, over a whole batch of sets at once
+(:func:`mips_minima_rows`).  To keep ``a * x + b`` inside unsigned
 64-bit arithmetic we first scramble ids with SplitMix64 and fold them to
 31 bits, then permute within ``Z_p`` for the Mersenne prime
 ``p = 2^31 - 1``.  The 31-bit fold introduces a ~``n^2 / 2^32`` chance of
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .base import IncompatibleSynopsesError, SetSynopsis
-from .hashing import LinearHashFamily, ids_to_uint64_array
+from .hashing import LinearHashFamily, ids_to_uint64_array, segment_rows
 
 __all__ = [
     "MinWisePermutations",
@@ -49,10 +50,17 @@ __all__ = [
     "pack_minima_row",
     "pack_minima_rows",
     "batch_match_counts",
+    "mips_minima_rows",
+    "PERMUTED_BUDGET",
 ]
 
 #: Modulus of the MIPs permutation family: the Mersenne prime 2^31 - 1.
 MIPS_MODULUS = (1 << 31) - 1
+
+#: Cap on the elements of the ``(permutations x ids)`` matrix one step of
+#: :func:`mips_minima_rows` holds (8 MB of uint64), however many ids the
+#: batch carries.
+PERMUTED_BUDGET = 1 << 20
 
 #: Wire width we account per stored minimum.  The paper equates 64
 #: permutations with 2048 bits, i.e. 32 bits per position.
@@ -73,6 +81,23 @@ def _family(seed: int) -> LinearHashFamily:
         family = LinearHashFamily(seed=seed, modulus=MIPS_MODULUS)
         _FAMILY_CACHE[seed] = family
     return family
+
+
+_COEFFICIENT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _coefficients(seed: int, num_permutations: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` of the first ``N`` permutations as ``(N, 1)`` uint64 columns."""
+    key = (seed, num_permutations)
+    cached = _COEFFICIENT_CACHE.get(key)
+    if cached is None:
+        permutations = _family(seed).permutations(num_permutations)
+        cached = (
+            np.array([[p.a] for p in permutations], dtype=np.uint64),
+            np.array([[p.b] for p in permutations], dtype=np.uint64),
+        )
+        _COEFFICIENT_CACHE[key] = cached
+    return cached
 
 
 def pack_minima_row(synopsis: "MinWisePermutations") -> np.ndarray:
@@ -118,6 +143,47 @@ def _scramble_to_31_bits(ids: np.ndarray) -> np.ndarray:
     return x >> np.uint64(33)
 
 
+def mips_minima_rows(
+    flat_ids: np.ndarray,
+    counts: Sequence[int] | np.ndarray,
+    num_permutations: int,
+    seed: int,
+) -> np.ndarray:
+    """MIPs vectors of many id sets as a ``(C, N)`` int64 matrix.
+
+    ``flat_ids`` (uint64) holds the ids of all ``C = len(counts)`` sets
+    back to back, ``counts[i]`` of them for set ``i``.  The ids are
+    permuted in slices of at most ``PERMUTED_BUDGET // N`` ids; within a
+    slice a segmented ``minimum.reduceat`` takes each set's minima and
+    folds them into its row, so a set split across slices still gets
+    its exact minimum.  Empty sets keep the sentinel row.
+    """
+    minima = np.full(
+        (len(counts), num_permutations), MIPS_MODULUS, dtype=np.int64
+    )
+    if flat_ids.size == 0:
+        return minima
+    keys = _scramble_to_31_bits(flat_ids)
+    row_of_id = segment_rows(counts)
+    coeff_a, coeff_b = _coefficients(seed, num_permutations)
+    modulus = np.uint64(MIPS_MODULUS)
+    step = max(1, PERMUTED_BUDGET // num_permutations)
+    for low in range(0, keys.size, step):
+        rows = row_of_id[low : low + step]
+        # (N, slice) permuted values; a*key < 2^62 so uint64 is exact.
+        permuted = coeff_a * keys[low : low + step]
+        permuted += coeff_b
+        permuted %= modulus
+        starts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.intp), starts))
+        touched = rows[starts]
+        segment_minima = np.minimum.reduceat(permuted, starts, axis=1)
+        minima[touched] = np.minimum(
+            minima[touched], segment_minima.T.astype(np.int64)
+        )
+    return minima
+
+
 class MinWisePermutations(SetSynopsis):
     """Immutable MIPs vector of ``num_permutations`` minima."""
 
@@ -143,23 +209,48 @@ class MinWisePermutations(SetSynopsis):
         num_permutations: int = 64,
         seed: int = 0,
     ) -> "MinWisePermutations":
-        """Build a MIPs vector over ``ids`` with ``num_permutations`` hashes."""
+        """Build a MIPs vector over ``ids`` with ``num_permutations`` hashes.
+
+        A batch of one through :meth:`from_id_batch`'s kernel.
+        """
+        id_array = ids_to_uint64_array(ids)
+        return cls.from_id_batch(
+            id_array,
+            [id_array.size],
+            num_permutations=num_permutations,
+            seed=seed,
+        )[0]
+
+    @classmethod
+    def from_id_batch(  # type: ignore[override]
+        cls,
+        flat_ids: np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+        *,
+        num_permutations: int = 64,
+        seed: int = 0,
+    ) -> "list[MinWisePermutations]":
+        """One MIPs vector per set of a packed batch.
+
+        See :func:`mips_minima_rows` for the kernel.
+        """
         if num_permutations <= 0:
             raise ValueError(
                 f"num_permutations must be positive, got {num_permutations}"
             )
-        id_array = ids_to_uint64_array(ids)
-        if id_array.size == 0:
-            return cls([MIPS_MODULUS] * num_permutations, seed)
-        keys = _scramble_to_31_bits(id_array)
-        permutations = _family(seed).permutations(num_permutations)
-        coeff_a = np.array([p.a for p in permutations], dtype=np.uint64)
-        coeff_b = np.array([p.b for p in permutations], dtype=np.uint64)
-        # (N, n) matrix of permuted values; a*key < 2^62 so uint64 is exact.
-        permuted = (coeff_a[:, None] * keys[None, :] + coeff_b[:, None]) % np.uint64(
-            MIPS_MODULUS
-        )
-        return cls(permuted.min(axis=1).tolist(), seed)
+        rows = mips_minima_rows(flat_ids, counts, num_permutations, seed)
+        return [cls._from_kernel(tuple(row.tolist()), seed) for row in rows]
+
+    @classmethod
+    def _from_kernel(
+        cls, minima: tuple[int, ...], seed: int
+    ) -> "MinWisePermutations":
+        """Wrap kernel minima (Python ints in ``[0, p]``) without re-checking."""
+        synopsis = cls.__new__(cls)
+        synopsis._minima = minima
+        synopsis._seed = seed
+        synopsis._cardinality = None
+        return synopsis
 
     def empty_like(self) -> "MinWisePermutations":
         return MinWisePermutations([MIPS_MODULUS] * len(self._minima), self._seed)

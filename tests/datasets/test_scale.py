@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.iqn import IQNRouter
+from repro.datasets import scale
 from repro.datasets.scale import ScaledTestbed, ScaledTestbedConfig
+from repro.parallel.seeding import derive_seed
 from repro.synopses.factory import SynopsisSpec
+from repro.synopses.wire import dumps
 from repro.topology import FlatTopology, SuperPeerTopology
 
 SPEC = SynopsisSpec.parse("mips-16")
@@ -138,3 +143,40 @@ class TestTopologyHost:
         assert plan.selected
         assert plan.clusters_ranked
         assert plan.super_fetches == 1 + len(plan.clusters_ranked)
+
+
+PIN_CONFIG = ScaledTestbedConfig(num_peers=300, num_topics=10, seed=11)
+
+
+@pytest.fixture(scope="module", params=["bf-2048", "mips-64", "hs-32", "ll-64"])
+def pinned_testbed(request):
+    """A 300-peer testbed published in several chunks (batched builds)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scale, "_PUBLISH_CHUNK", 128)
+        return ScaledTestbed(PIN_CONFIG, spec=SynopsisSpec.parse(request.param))
+
+
+class TestBatchedPublish:
+    """Stored Posts equal the per-Post construction they replaced."""
+
+    def test_every_stored_row_matches_the_per_post_formula(self, pinned_testbed):
+        testbed = pinned_testbed
+        seen = 0
+        for term in sorted(testbed.directory.stored_terms()):
+            for post in testbed.directory.stored_list(term):
+                index = testbed.peer_index(post.peer_id)
+                ids = testbed.doc_ids(index, term)
+                expected = testbed.spec.build(ids)
+                assert post.synopsis == expected
+                assert dumps(post.synopsis) == dumps(expected)
+                rng = random.Random(
+                    derive_seed(PIN_CONFIG.seed, f"scores:{index}:{term}")
+                )
+                max_score = 0.2 + 0.8 * rng.random()
+                assert post.cdf == len(ids)
+                assert post.max_score == max_score
+                assert post.avg_score == max_score * (0.3 + 0.4 * rng.random())
+                seen += 1
+        assert seen == sum(
+            len(testbed.peer_terms(i)) for i in range(PIN_CONFIG.num_peers)
+        )

@@ -63,6 +63,8 @@ class ProjectContracts:
     #: between any two of them must carry declared dtypes.
     columnar_modules: tuple[str, ...] = (
         "repro.synopses.columnstore",
+        "repro.synopses.bloom",
+        "repro.synopses.mips",
         "repro.routing.columns",
         "repro.core.fastpath",
     )
