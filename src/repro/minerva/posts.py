@@ -136,6 +136,17 @@ class PeerList:
             for post in posts.values():
                 self.add(post)
 
+    @classmethod
+    def from_columns(cls, columns: TermColumns) -> "PeerList":
+        """Wrap an existing column store, e.g. a :meth:`TermColumns.take`
+        slice; its Posts materialize lazily like any stored list's."""
+        peer_list = cls.__new__(cls)
+        peer_list.term = columns.term
+        peer_list._columns = columns
+        peer_list._retained = {}
+        peer_list._cache = {}
+        return peer_list
+
     # -- columnar surface -------------------------------------------------
 
     @property

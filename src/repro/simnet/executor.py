@@ -260,7 +260,7 @@ class SimNetExecutor:
         return handler
 
     def _serve_members(self, peer_id: str) -> RpcHandler:
-        """Handler: a winning cluster's super-peer shipping member posts."""
+        """Handler: a winning cluster's super-peer shipping member lists."""
 
         def handler(
             payload: tuple[str, tuple[str, ...]]
@@ -270,8 +270,8 @@ class SimNetExecutor:
                 return None  # departed since construction: no reply
             topology = self.engine.topology
             assert isinstance(topology, SuperPeerTopology)
-            posts_by_term, bits = topology.member_posts(label, tuple(terms))
-            return posts_by_term, bits, self.directory_service_ms
+            lists, bits = topology.member_posts(label, tuple(terms))
+            return lists, bits, self.directory_service_ms
 
         return handler
 
@@ -738,10 +738,7 @@ class SimNetExecutor:
                 for label in winners
             ]
         )
-        peer_lists = {
-            term: PeerList(term=term, peer_table=engine.directory.peer_table)
-            for term in unique_terms
-        }
+        fetched: list[dict[str, PeerList]] = []
         super_fetches = 1
         topology_fallbacks = 0
         for label, member_reply in zip(winners, member_replies):
@@ -753,20 +750,14 @@ class SimNetExecutor:
                 topology_fallbacks += 1
                 continue
             super_fetches += 1
-            posts_by_term: dict[str, list] = member_reply.value
-            member_bits = sum(
-                post.size_in_bits
-                for posts in posts_by_term.values()
-                for post in posts
-            )
+            lists: dict[str, PeerList] = member_reply.value
             cost.record(
                 MessageKinds.MEMBER_FETCH,
-                bits=member_bits,
+                bits=sum(peer_list.size_in_bits for peer_list in lists.values()),
                 count=member_reply.attempts,
             )
-            for term, posts in posts_by_term.items():
-                for post in posts:
-                    peer_lists[term].add(post, retain=False)
+            fetched.append(lists)
+        peer_lists = topology.join_member_lists(unique_terms, fetched)
         return (
             peer_lists,
             [],

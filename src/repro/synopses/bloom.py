@@ -26,6 +26,7 @@ keeps the object immutable and hashable.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,21 +84,25 @@ def cardinality_from_popcount(bit_count: int, num_bits: int, num_hashes: int) ->
     return math.log1p(-t / m) / (num_hashes * math.log1p(-1.0 / m))
 
 
+@lru_cache(maxsize=32)
 def popcount_cardinality_table(num_bits: int, num_hashes: int) -> np.ndarray:
     """Cardinality estimates for every possible popcount ``0 .. m``.
 
     Indexing this table with an integer popcount array vectorizes the
     inversion without touching transcendental functions in NumPy (whose
     libm may differ from :mod:`math` by ULPs — the table keeps batched
-    and scalar paths exactly equal).
+    and scalar paths exactly equal).  Memoized per ``(m, k)`` and
+    returned read-only, since every caller shares the one array.
     """
-    return np.array(
+    table = np.array(
         [
             cardinality_from_popcount(t, num_bits, num_hashes)
             for t in range(num_bits + 1)
         ],
         dtype=np.float64,
     )
+    table.setflags(write=False)
+    return table
 
 
 def pack_bit_row(bits: int, num_bits: int) -> np.ndarray:

@@ -25,7 +25,7 @@ layer whether the packed matrix covers every stored synopsis.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -54,6 +54,18 @@ __all__ = [
 
 #: Initial row capacity of every column; grows by doubling.
 _INITIAL_CAPACITY = 8
+
+_T = TypeVar("_T")
+
+#: The per-row parallel arrays of :class:`TermColumns`.
+_ROW_ARRAYS = (
+    "_peer_ids",
+    "_cdf",
+    "_max_score",
+    "_avg_score",
+    "_term_space",
+    "_has_synopsis",
+)
 
 
 class PeerIdTable:
@@ -419,6 +431,14 @@ def column_for(
     return None
 
 
+def _entries_for(objects: dict[int, _T], interned: np.ndarray) -> dict[int, _T]:
+    """The entries of a per-peer object dict keyed by any of ``interned``."""
+    if not objects:
+        return {}
+    keys = np.fromiter(objects, dtype=np.int64, count=len(objects))
+    return {key: objects[key] for key in keys[np.isin(keys, interned)].tolist()}
+
+
 class TermColumns:
     """One term's directory state as parallel packed arrays.
 
@@ -690,6 +710,88 @@ class TermColumns:
 
     def __len__(self) -> int:
         return self._size
+
+    # -- row slices ------------------------------------------------------
+
+    def take(self, rows: np.ndarray) -> "TermColumns":
+        """A detached copy of ``rows``, in the given order, on this table.
+
+        Row ``i`` of the slice holds exactly what row ``rows[i]`` holds
+        here — metadata, packed synopsis, foreign synopsis, histogram —
+        so the Posts it materializes equal the source's.  The slice owns
+        its arrays: later upserts or removals on either side leave the
+        other untouched.
+        """
+        return TermColumns._gather(self.term, self._table, [(self, rows)])
+
+    @staticmethod
+    def concat(
+        term: str, table: PeerIdTable, stores: list["TermColumns"]
+    ) -> "TermColumns":
+        """Join whole stores (typically :meth:`take` slices) in list order.
+
+        Every store must share ``table`` and hold the same synopsis
+        family (or none), and a peer may appear only once.
+        """
+        return TermColumns._gather(
+            term,
+            table,
+            [(store, np.arange(store._size, dtype=np.int64)) for store in stores],
+        )
+
+    @staticmethod
+    def _gather(
+        term: str,
+        table: PeerIdTable,
+        parts: list[tuple["TermColumns", np.ndarray]],
+    ) -> "TermColumns":
+        """One new store holding ``parts``' rows, part by part.
+
+        Each row keeps its packed vs foreign storage, and capacity grows
+        by doubling, as upserting the same rows one by one would.
+        """
+        out = TermColumns(term, table)
+        picks: list[tuple[TermColumns, np.ndarray]] = []
+        for source, rows in parts:
+            if source._table is not table:
+                raise ValueError("column slices must share one peer-id table")
+            picked = np.asarray(rows, dtype=np.int64)
+            if len(picked) and (
+                int(picked.min()) < 0 or int(picked.max()) >= source._size
+            ):
+                raise IndexError(
+                    f"rows out of range for {source._size}-row term {source.term!r}"
+                )
+            picks.append((source, picked))
+        size = sum(len(picked) for _, picked in picks)
+        out._grow(size)
+        columns = [source._column for source, _ in picks if source._column is not None]
+        if columns:
+            template = columns[0]
+            if any(
+                type(column) is not type(template) or column.params != template.params
+                for column in columns
+            ):
+                raise ValueError("column slices hold different synopsis families")
+            out._column = template.fresh(len(out._peer_ids))
+        start = 0
+        for source, picked in picks:
+            stop = start + len(picked)
+            for name in _ROW_ARRAYS:
+                getattr(out, name)[start:stop] = getattr(source, name)[picked]
+            if source._column is not None and out._column is not None:
+                out._column.rows(size)[start:stop] = source._column.rows(
+                    source._size
+                )[picked]
+            taken = out._peer_ids[start:stop]
+            out._foreign.update(_entries_for(source._foreign, taken))
+            out._histograms.update(_entries_for(source._histograms, taken))
+            start = stop
+        out._size = size
+        out._row_of = dict(zip(out.interned_ids().tolist(), range(size)))
+        if len(out._row_of) != size:
+            raise ValueError(f"column slices of {term!r} repeat a peer")
+        return out
 
     # -- pickling --------------------------------------------------------
 

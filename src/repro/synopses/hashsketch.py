@@ -28,6 +28,7 @@ Aggregation properties (Sections 5.2, 5.3, 6.1):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,15 +66,21 @@ def cardinality_from_rho_sum(rho_sum: int, num_bitmaps: int) -> float:
     return (num_bitmaps / PCSA_PHI) * (2.0**mean_r)
 
 
+@lru_cache(maxsize=32)
 def rho_sum_cardinality_table(num_bitmaps: int, bitmap_length: int) -> np.ndarray:
-    """Estimates for every possible ``ΣR`` in ``0 .. m * L``."""
-    return np.array(
+    """Estimates for every possible ``ΣR`` in ``0 .. m * L``.
+
+    Memoized per ``(m, L)`` and returned read-only (callers share it).
+    """
+    table = np.array(
         [
             cardinality_from_rho_sum(total, num_bitmaps)
             for total in range(num_bitmaps * bitmap_length + 1)
         ],
         dtype=np.float64,
     )
+    table.setflags(write=False)
+    return table
 
 
 def pack_bitmap_row(synopsis: "HashSketch") -> np.ndarray:

@@ -16,10 +16,10 @@ Query assembly is two-phase IQN under a split budget:
    cluster directory of the query terms (one ``cluster_fetch`` message)
    and runs IQN over the merged cluster synopses, selecting at most the
    cluster budget (default ``isqrt(max_peers)``).
-2. **Rank members** — each winning cluster's super-peer ships its
-   members' restricted PeerList entries back (one ``member_fetch`` per
-   winner), and the query's selector ranks only those peers under the
-   full peer budget.
+2. **Rank members** — each winning cluster's super-peer ships its live
+   members' rows of the stored PeerLists back as column slices (one
+   ``member_fetch`` per winner), and the query's selector ranks only
+   those peers under the full peer budget.
 
 Against the flat topology — which pays per-term DHT routing hops plus
 the *complete* PeerList payload of every term — the super-peer tier
@@ -128,6 +128,16 @@ class SuperPeerTopology(RoutingTopology):
         self._cluster_table = PeerIdTable()
         self._cluster_lists: dict[str, PeerList] = {}
         self._down: set[str] = set()
+        self._reset_member_index()
+
+    def _reset_member_index(self) -> None:
+        #: Per interned peer id: compact cluster index, position in that
+        #: cluster's sorted member tuple, and liveness (kept in step with
+        #: ``_down``).  Peers interned after the build are in no cluster.
+        self._label_index: dict[str, int] = {}
+        self._peer_cluster = np.zeros(0, dtype=np.int64)
+        self._peer_position = np.zeros(0, dtype=np.int64)
+        self._peer_live = np.zeros(0, dtype=bool)
 
     # -- configuration ---------------------------------------------------
 
@@ -170,6 +180,7 @@ class SuperPeerTopology(RoutingTopology):
         self._cluster_table = PeerIdTable()
         self._cluster_lists = {}
         self._down = set()
+        self._reset_member_index()
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
@@ -199,11 +210,10 @@ class SuperPeerTopology(RoutingTopology):
         return self._members.get(label, ())
 
     def live_members(self, label: str) -> tuple[str, ...]:
-        return tuple(
-            peer_id
-            for peer_id in self.members_of(label)
-            if peer_id not in self._down
-        )
+        members = self.members_of(label)
+        if not self._down:
+            return members
+        return tuple(peer_id for peer_id in members if peer_id not in self._down)
 
     def _stored_columns(self) -> list[tuple[str, TermColumns]]:
         directory = self.host.directory
@@ -248,6 +258,10 @@ class SuperPeerTopology(RoutingTopology):
         members_by: dict[int, list[str]] = {i: [] for i in range(len(present))}
         for interned, compact in enumerate(compact_assignment.tolist()):
             members_by[compact].append(table.name(interned))
+        self._label_index = {label: index for index, label in enumerate(labels)}
+        self._peer_cluster = compact_assignment
+        self._peer_position = np.zeros(len(table), dtype=np.int64)
+        self._peer_live = np.ones(len(table), dtype=bool)
         self._capacity = {
             table.name(interned): int(capacity[interned])
             for interned in range(len(table))
@@ -266,8 +280,11 @@ class SuperPeerTopology(RoutingTopology):
             )
             self._members[label] = members
             self._super_of[label] = super_peer
-            for peer_id in members:
+            for position, peer_id in enumerate(members):
                 self._cluster_of[peer_id] = label
+                interned = table.lookup(peer_id)
+                assert interned is not None  # members come from the table
+                self._peer_position[interned] = position
         self._clusters = tuple(clusters)
         self._down = set()
         self._build_cluster_lists(term_columns, compact_assignment, labels)
@@ -412,12 +429,18 @@ class SuperPeerTopology(RoutingTopology):
         initiator: LocalView | None = None,
         conjunctive: bool = False,
         budget: int = DEFAULT_CLUSTER_BUDGET,
+        cluster_lists: dict[str, PeerList] | None = None,
     ) -> list[str]:
-        """Phase one: IQN over the merged cluster synopses."""
+        """Phase one: IQN over the merged cluster synopses.
+
+        ``cluster_lists`` is the caller's :meth:`cluster_peer_lists`
+        result for ``query.terms``, when it already fetched one.
+        """
         clusters = self.ensure_clusters()
         if not clusters:
             return []
-        cluster_lists, _ = self.cluster_peer_lists(query.terms)
+        if cluster_lists is None:
+            cluster_lists, _ = self.cluster_peer_lists(query.terms)
         context = RoutingContext(
             query=query,
             peer_lists=cluster_lists,
@@ -430,23 +453,63 @@ class SuperPeerTopology(RoutingTopology):
 
     def member_posts(
         self, label: str, terms: tuple[str, ...]
-    ) -> tuple[dict[str, list[Post]], int]:
-        """One winning cluster's restricted per-term posts + wire bits."""
+    ) -> tuple[dict[str, PeerList], int]:
+        """One winning cluster's restricted per-term lists + wire bits.
+
+        Each list is a column slice of the term's stored list holding
+        the rows of the cluster's live members, in member (peer-id)
+        order: the same peers, order and Post fields as looking every
+        live member up in the stored list.  The bits are the sum of
+        those Posts' ``size_in_bits``.
+        """
+        self.ensure_clusters()
         directory = self.host.directory
-        live = self.live_members(label)
-        out: dict[str, list[Post]] = {}
+        index = self._label_index.get(label, -1)
+        out: dict[str, PeerList] = {}
         bits = 0
         for term in dict.fromkeys(terms):
             stored = directory.stored_list(term)
-            posts: list[Post] = []
-            if stored is not None:
-                for member in live:
-                    post = stored.get(member)
-                    if post is not None:
-                        posts.append(post)
-                        bits += post.size_in_bits
-            out[term] = posts
+            if stored is None:
+                columns = TermColumns(term, directory.peer_table)
+            else:
+                columns = stored.columns.take(
+                    self._member_rows(stored.columns, index)
+                )
+            sliced = PeerList.from_columns(columns)
+            bits += sliced.size_in_bits
+            out[term] = sliced
         return out, bits
+
+    def _member_rows(self, columns: TermColumns, index: int) -> np.ndarray:
+        """Rows of ``columns`` posted by cluster ``index``'s live members,
+        ordered by member position."""
+        interned = columns.interned_ids()
+        known = interned < len(self._peer_cluster)
+        safe = np.where(known, interned, 0)
+        rows = np.flatnonzero(
+            known & (self._peer_cluster[safe] == index) & self._peer_live[safe]
+        )
+        return rows[np.argsort(self._peer_position[interned[rows]], kind="stable")]
+
+    def join_member_lists(
+        self,
+        terms: tuple[str, ...],
+        fetched: list[dict[str, PeerList]],
+    ) -> dict[str, PeerList]:
+        """Merge the winners' :meth:`member_posts` lists, in winner order.
+
+        Clusters are disjoint, so the join is a concatenation: per term,
+        each winner's rows follow the previous winner's.
+        """
+        table = self.host.directory.peer_table
+        return {
+            term: PeerList.from_columns(
+                TermColumns.concat(
+                    term, table, [lists[term].columns for lists in fetched]
+                )
+            )
+            for term in terms
+        }
 
     def assemble(
         self,
@@ -466,28 +529,24 @@ class SuperPeerTopology(RoutingTopology):
                 "SuperPeerTopology already scopes lists via cluster routing"
             )
         directory = self.host.directory
-        budget = self.resolve_cluster_budget(max_peers)
+        cluster_lists, cluster_bits = self.cluster_peer_lists(query.terms)
         winners = self.rank_clusters(
-            query, initiator=initiator, conjunctive=conjunctive, budget=budget
+            query,
+            initiator=initiator,
+            conjunctive=conjunctive,
+            budget=self.resolve_cluster_budget(max_peers),
+            cluster_lists=cluster_lists,
         )
-        _, cluster_bits = self.cluster_peer_lists(query.terms)
         directory.cost.record(MessageKinds.CLUSTER_FETCH, bits=cluster_bits)
         unique_terms = tuple(dict.fromkeys(query.terms))
-        peer_lists = {
-            term: PeerList(term=term, peer_table=directory.peer_table)
-            for term in unique_terms
-        }
-        scope: set[str] = set()
+        fetched: list[dict[str, PeerList]] = []
         for label in winners:
-            posts_by_term, member_bits = self.member_posts(label, unique_terms)
+            lists, member_bits = self.member_posts(label, unique_terms)
             directory.cost.record(MessageKinds.MEMBER_FETCH, bits=member_bits)
-            scope.update(self.live_members(label))
-            for term, posts in posts_by_term.items():
-                for post in posts:
-                    peer_lists[term].add(post, retain=False)
+            fetched.append(lists)
         return ScopedLists(
-            peer_lists=peer_lists,
-            scope=frozenset(scope),
+            peer_lists=self.join_member_lists(unique_terms, fetched),
+            scope=frozenset().union(*map(self.live_members, winners)),
             clusters_ranked=tuple(winners),
             super_fetches=1 + len(winners),
         )
@@ -501,6 +560,7 @@ class SuperPeerTopology(RoutingTopology):
         if label is None or peer_id in self._down:
             return None
         self._down.add(peer_id)
+        self._set_live(peer_id, False)
         terms = self._rebuild_cluster_entry(label)
         if self._super_of.get(label) != peer_id:
             return None
@@ -531,9 +591,15 @@ class SuperPeerTopology(RoutingTopology):
         if self._clusters is None or peer_id not in self._down:
             return
         self._down.discard(peer_id)
+        self._set_live(peer_id, True)
         label = self._cluster_of.get(peer_id)
         if label is not None:
             self._rebuild_cluster_entry(label)
+
+    def _set_live(self, peer_id: str, live: bool) -> None:
+        interned = self.host.directory.peer_table.lookup(peer_id)
+        if interned is not None:
+            self._peer_live[interned] = live
 
     # -- simnet latency --------------------------------------------------
 

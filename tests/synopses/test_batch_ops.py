@@ -196,3 +196,20 @@ class TestLogLogKernels:
         rows = pack_register_rows([None, synopsis], self.M)
         assert (rows[0] == 0).all()
         assert rows.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (popcount_cardinality_table, (512, 4)),
+        (rho_sum_cardinality_table, (16, 32)),
+        (register_cardinality_tables, (32,)),
+    ],
+)
+def test_cardinality_tables_are_memoized_and_read_only(build, args):
+    first = build(*args)
+    assert build(*args) is first
+    for table in first if isinstance(first, tuple) else (first,):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0

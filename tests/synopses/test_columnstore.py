@@ -32,6 +32,7 @@ from repro.synopses.columnstore import (
 )
 from repro.synopses.factory import SynopsisSpec
 from repro.synopses.hashsketch import HashSketch
+from repro.synopses.histogram import ScoreHistogramSynopsis
 from repro.synopses.loglog import LogLogCounter
 from repro.synopses.mips import MinWisePermutations
 
@@ -242,6 +243,162 @@ class TestTermColumns:
         assert len(clone) == 1
         assert clone.synopsis_at(0) == synopsis
         assert clone.post_fields(0)[:2] == ("p1", 7)
+
+
+#: Packs into no family column above: always a foreign synopsis.
+FOREIGN = BloomFilter.from_ids({7, 8}, num_bits=256, num_hashes=2)
+HISTOGRAM_SPEC = SynopsisSpec.parse("mips-8")
+
+
+def mixed_list(family, *, peers=12, seed=3, table=None):
+    """A stored-style list cycling packed, packed + histogram, foreign
+    and absent synopses (the first row packs, fixing the column)."""
+    rng = random.Random(seed)
+    peer_list = PeerList(
+        term="alpha", peer_table=table if table is not None else PeerIdTable()
+    )
+    for index in range(peers):
+        docs = {rng.randrange(5000) for _ in range(rng.randrange(1, 40))}
+        kind = index % 4
+        synopsis = (
+            FAMILIES[family](docs) if kind < 2 else FOREIGN if kind == 2 else None
+        )
+        histogram = (
+            ScoreHistogramSynopsis.from_scored_ids(
+                [(doc, rng.random()) for doc in sorted(docs)],
+                spec=HISTOGRAM_SPEC,
+                num_cells=2,
+            )
+            if kind == 1
+            else None
+        )
+        peer_list.add(
+            Post(
+                peer_id=f"p{index:02d}",
+                term="alpha",
+                cdf=len(docs),
+                max_score=rng.random(),
+                avg_score=rng.random() / 2,
+                term_space_size=rng.randrange(100, 900),
+                synopsis=synopsis,
+                histogram=histogram,
+            ),
+            retain=False,
+        )
+    return peer_list
+
+
+def sliced(source, rows):
+    return PeerList.from_columns(
+        source.columns.take(np.asarray(rows, dtype=np.int64))
+    )
+
+
+class TestRowSlices:
+    """``TermColumns.take`` / ``concat``: exact row gathers."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_in_arbitrary_order(self, family):
+        source = mixed_list(family)
+        rows = [9, 0, 5, 2, 11, 6, 3]
+        part = sliced(source, rows)
+        posts = list(source)
+        assert list(part) == [posts[row] for row in rows]
+        assert list(part.posts) == [posts[row].peer_id for row in rows]
+        assert part.size_in_bits == sum(posts[row].size_in_bits for row in rows)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_size_in_bits_is_sum_of_post_bits(self, family):
+        source = mixed_list(family, peers=20)
+        part = sliced(source, range(len(source)))
+        assert part.size_in_bits == sum(post.size_in_bits for post in part)
+        assert part.size_in_bits == source.size_in_bits
+
+    def test_empty_and_single_row(self):
+        source = mixed_list("bloom")
+        empty = sliced(source, [])
+        assert len(empty) == 0
+        assert list(empty) == []
+        assert empty.size_in_bits == 0
+        single = sliced(source, [4])
+        assert list(single) == [list(source)[4]]
+        # Both grow like any list once written to.
+        for part in (empty, single):
+            for post in list(source)[:10]:
+                part.add(post, retain=False)
+        assert len(empty) == 10 and len(single) == 10
+
+    def test_foreign_synopses_and_histograms_follow_their_rows(self):
+        source = mixed_list("mips")
+        assert not source.columns.is_pure
+        packed = sliced(source, [0, 1, 4, 5])
+        assert packed.columns.is_pure
+        assert [post.histogram is not None for post in packed] == [
+            False,
+            True,
+            False,
+            True,
+        ]
+        foreign = sliced(source, [6, 1])
+        assert not foreign.columns.is_pure
+        assert [post.synopsis for post in foreign][0] == FOREIGN
+        assert foreign.get("p01") == source.get("p01")
+
+    def test_slice_mutation_leaves_source_untouched(self):
+        source = mixed_list("hash-sketch")
+        before = list(source)
+        part = sliced(source, [3, 1, 2])
+        replacement = Post(
+            peer_id="p01", term="alpha", cdf=1, max_score=0.1, avg_score=0.1,
+            term_space_size=5, synopsis=FAMILIES["hash-sketch"]({1}),
+        )
+        part.add(replacement, retain=False)
+        part.add(before[8], retain=False)
+        del part.posts["p03"]
+        assert list(source) == before
+        assert [post.peer_id for post in part] == ["p08", "p01", "p02"]
+        assert part.get("p01") == replacement
+        # ... and the other way round.
+        del source.posts["p02"]
+        source.add(replacement, retain=False)
+        assert part.get("p02") == before[2]
+
+    def test_pickle_round_trip(self):
+        source = mixed_list("loglog")
+        part = sliced(source, [7, 1, 2, 0])
+        clone = pickle.loads(pickle.dumps(part))
+        assert list(clone) == list(part)
+        assert clone.size_in_bits == part.size_in_bits
+
+    def test_concat_joins_parts_in_order(self):
+        table = PeerIdTable()
+        source = mixed_list("bloom", table=table)
+        left = source.columns.take(np.array([5, 1], dtype=np.int64))
+        right = source.columns.take(np.array([0, 9, 2], dtype=np.int64))
+        joined = PeerList.from_columns(
+            TermColumns.concat("alpha", table, [left, right])
+        )
+        posts = list(source)
+        assert list(joined) == [posts[row] for row in (5, 1, 0, 9, 2)]
+
+    def test_concat_rejects_bad_parts(self):
+        table = PeerIdTable()
+        columns = mixed_list("bloom", table=table).columns
+        part = columns.take(np.array([0, 1], dtype=np.int64))
+        with pytest.raises(ValueError, match="repeat a peer"):
+            TermColumns.concat("alpha", table, [part, part])
+        with pytest.raises(ValueError, match="repeat a peer"):
+            columns.take(np.array([3, 3], dtype=np.int64))
+        with pytest.raises(ValueError, match="peer-id table"):
+            TermColumns.concat("alpha", PeerIdTable(), [part])
+        with pytest.raises(IndexError):
+            columns.take(np.array([len(columns)], dtype=np.int64))
+        with pytest.raises(IndexError):
+            columns.take(np.array([-1], dtype=np.int64))
+        other = mixed_list("mips", table=table).columns
+        other_part = other.take(np.array([4], dtype=np.int64))
+        with pytest.raises(ValueError, match="synopsis families"):
+            TermColumns.concat("alpha", table, [part, other_part])
 
 
 def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):

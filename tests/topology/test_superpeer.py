@@ -6,8 +6,13 @@ import pytest
 
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
-from repro.net.cost import MessageKinds
+from repro.datasets.scale import ScaledTestbed, ScaledTestbedConfig
+from repro.minerva.posts import PeerList
+from repro.net.cost import CostModel, MessageKinds
 from repro.net.latency import LatencyProfile
+from repro.simnet.clock import spawn
+from repro.simnet.executor import SimNetExecutor
+from repro.synopses.factory import SynopsisSpec
 from repro.topology import SuperPeerTopology
 from repro.topology.base import ReElection
 
@@ -139,6 +144,176 @@ class TestRouting:
         assert networked.topology_fallbacks == 0
 
 
+FAMILY_LABELS = ("bf-512", "mips-16", "hs-16", "ll-32")
+
+
+def reference_member_posts(topology, label, terms):
+    """The per-member ``stored.get`` walk the columnar fetch replaced."""
+    directory = topology.host.directory
+    out = {}
+    bits = 0
+    for term in dict.fromkeys(terms):
+        stored = directory.stored_list(term)
+        posts = []
+        if stored is not None:
+            for member in topology.live_members(label):
+                post = stored.get(member)
+                if post is not None:
+                    posts.append(post)
+                    bits += post.size_in_bits
+        out[term] = posts
+    return out, bits
+
+
+def reference_join(topology, terms, fetched):
+    """The per-Post upsert merge the columnar join replaced."""
+    table = topology.host.directory.peer_table
+    peer_lists = {term: PeerList(term=term, peer_table=table) for term in terms}
+    for posts_by_term in fetched:
+        for term, posts in posts_by_term.items():
+            for post in posts:
+                peer_lists[term].add(post, retain=False)
+    return peer_lists
+
+
+def assert_same_lists(got, expected):
+    assert list(got) == list(expected)
+    for term in expected:
+        expected_posts = list(expected[term])
+        assert [post.peer_id for post in got[term]] == [
+            post.peer_id for post in expected_posts
+        ]
+        assert list(got[term]) == expected_posts
+
+
+class TestColumnarMemberFetch:
+    """Column-slice member fetch == the per-Post loop it replaced."""
+
+    @pytest.fixture(scope="class", params=FAMILY_LABELS)
+    def testbed(self, request):
+        config = ScaledTestbedConfig(num_peers=150, num_topics=6, seed=4)
+        testbed = ScaledTestbed(config, spec=SynopsisSpec.parse(request.param))
+        topology = SuperPeerTopology(num_clusters=5, seed=1)
+        topology.bind(testbed)
+        topology.ensure_clusters()
+        # Re-post some peers so stored row order differs from member
+        # order (a removal swaps the last row into the hole).
+        for term in testbed.topic_terms(0) + testbed.topic_terms(2):
+            stored = testbed.directory.stored_list(term)
+            for peer_id in sorted(stored.peer_ids)[::3]:
+                post = stored.get(peer_id)
+                del stored.posts[peer_id]
+                stored.add(post, retain=False)
+        # Every poster of one term goes down: it stays stored but no
+        # live member holds it.
+        silenced = testbed.topic_terms(1)[0]
+        stored = testbed.directory.stored_list(silenced)
+        for peer_id in sorted(stored.peer_ids) + ["p003", "p077", "p140"]:
+            topology.handle_peer_down(peer_id)
+        return testbed, topology, silenced
+
+    def test_member_posts_match_per_post_loop(self, testbed):
+        testbed, topology, silenced = testbed
+        terms = testbed.topic_terms(0) + testbed.topic_terms(0)[:1] + (
+            silenced,
+            "never-posted",
+        )
+        assert "p003" not in topology.live_members(topology.cluster_of("p003"))
+        fetched, expected = [], []
+        winners = [cluster.label for cluster in topology.clusters][::-1]
+        for label in winners:
+            lists, bits = topology.member_posts(label, terms)
+            reference, reference_bits = reference_member_posts(
+                topology, label, terms
+            )
+            assert bits == reference_bits
+            assert list(lists) == list(reference)
+            for term, posts in reference.items():
+                assert list(lists[term]) == posts
+                assert lists[term].size_in_bits == sum(
+                    post.size_in_bits for post in posts
+                )
+            assert len(lists[silenced]) == 0
+            assert len(lists["never-posted"]) == 0
+            fetched.append(lists)
+            expected.append(reference)
+        unique = tuple(dict.fromkeys(terms))
+        merged = topology.join_member_lists(unique, fetched)
+        assert_same_lists(merged, reference_join(topology, unique, expected))
+        assert sum(len(merged[term]) for term in unique) > 0
+
+    def test_assemble_scope_and_bits_match(self, testbed):
+        testbed, topology, _ = testbed
+        query = Query(7, testbed.topic_terms(2) + ("never-posted",))
+        cost = testbed.directory.cost
+        before = cost.snapshot()
+        scoped = topology.assemble(query, max_peers=9)
+        spent = cost.snapshot() - before
+        winners = scoped.clusters_ranked
+        references = [
+            reference_member_posts(topology, label, query.terms)
+            for label in winners
+        ]
+        unique = query.terms
+        assert_same_lists(
+            scoped.peer_lists,
+            reference_join(topology, unique, [posts for posts, _ in references]),
+        )
+        assert spent.messages(MessageKinds.MEMBER_FETCH) == len(winners)
+        assert spent.bits(MessageKinds.MEMBER_FETCH) == sum(
+            bits for _, bits in references
+        )
+        assert scoped.scope == frozenset(
+            peer for label in winners for peer in topology.live_members(label)
+        )
+
+    @pytest.mark.parametrize("label", FAMILY_LABELS)
+    def test_simnet_fetch_matches_per_post_loop(self, label, monkeypatch):
+        engine = make_superpeer_engine(label)
+        topology = engine.topology
+        topology.ensure_clusters()
+        winners = [cluster.label for cluster in topology.clusters][::-1]
+        for cluster in topology.clusters:
+            topology.handle_peer_down(cluster.members[-1])
+        monkeypatch.setattr(topology, "rank_clusters", lambda *a, **k: winners)
+        query = Query(3, ("apple", "berry", "unposted"))
+        unique = query.terms
+        executor = SimNetExecutor(engine)
+        references = []
+        for winner in winners:
+            served = executor._serve_members(topology.super_of_cluster(winner))
+            lists, bits, _ = served((winner, unique + unique[:1]))
+            reference, reference_bits = reference_member_posts(
+                topology, winner, unique
+            )
+            assert bits == reference_bits
+            assert {term: list(lists[term]) for term in lists} == reference
+            references.append((reference, reference_bits))
+        cost = CostModel()
+        job = spawn(
+            executor._fetch_scoped_lists(
+                query,
+                INITIATOR,
+                cost,
+                peer_k=5,
+                conjunctive=False,
+                max_peers=4,
+                successor_fallback=False,
+            )
+        )
+        executor.clock.run()
+        peer_lists, failed, _, _, ranked, super_fetches, fallbacks = job.value
+        assert (failed, ranked, fallbacks) == ([], tuple(winners), 0)
+        assert super_fetches == 1 + len(winners)
+        assert_same_lists(
+            peer_lists,
+            reference_join(topology, unique, [posts for posts, _ in references]),
+        )
+        assert cost.snapshot().bits(MessageKinds.MEMBER_FETCH) == sum(
+            bits for _, bits in references
+        )
+
+
 class TestChurnHooks:
     def test_member_down_rebuilds_without_reelection(self):
         engine = make_superpeer_engine()
@@ -203,9 +378,17 @@ class TestChurnHooks:
             for p in topology.members_of(label)
             if p != topology.super_of_cluster(label)
         )
+
+        def fetched():
+            lists, _ = topology.member_posts(label, ("apple", "banana"))
+            return set().union(*(peer_list.peer_ids for peer_list in lists.values()))
+
+        assert victim in fetched()
         topology.handle_peer_down(victim)
+        assert victim not in fetched()
         topology.handle_peer_up(victim)
         assert victim in topology.live_members(label)
+        assert victim in fetched()
 
 
 class TestLatencyProfiles:

@@ -67,6 +67,7 @@ class ProjectContracts:
         "repro.synopses.mips",
         "repro.routing.columns",
         "repro.core.fastpath",
+        "repro.topology.superpeer",
     )
     #: Methods that pickle their payload into worker processes.
     dispatch_methods: tuple[str, ...] = (
