@@ -7,8 +7,9 @@ family and directory size it ingests one Post per peer per term through
 the resident bytes per peer of the packed columns, times IQN routing
 over the full directory — asserting the router attached to the stored
 columns (``stats.attach == "columns"``) — and verifies on a pinned
-seeded grid that column-backed plans are bit-identical to the
-object-backed fast path and the naive loop.
+seeded grid that directory-backed plans are bit-identical to plans over
+the same lists on private peer-id tables (re-interned onto one table)
+and to the naive loop.
 
 Results land in ``benchmarks/results/BENCH_columnar.json`` (bytes/peer,
 build seconds, routing latency, peak RSS per cell) alongside a readable
@@ -165,7 +166,7 @@ def run_cell(spec_label, num_peers):
 
 
 def check_bit_identity(spec_label, *, num_peers=500, seed=13):
-    """Column-backed plans == object fast path == naive loop, exactly."""
+    """Directory-table plans == re-interned plans == naive loop, exactly."""
     spec = SynopsisSpec.parse(spec_label)
     posts = make_posts(spec, num_peers, seed=seed)
     directory = build_directory(posts)
@@ -174,21 +175,21 @@ def check_bit_identity(spec_label, *, num_peers=500, seed=13):
         make_context(directory, spec, num_peers, seed=seed), MAX_PEERS
     )
     assert columnar_router.last_stats.attach == "columns"
-    # Same content rebuilt on per-list private tables: the columnar view
-    # cannot attach, so this exercises the object-era packing path.
+    # Same content rebuilt on per-list private tables: routing re-interns
+    # the lists onto one table before the columnar kernels attach.
     private = {term: PeerList(term=term) for term in TERMS}
     for post in posts:
         private[term_of(post)].add(post)
-    object_router = IQNRouter(PerPeerAggregation())
-    object_plan = object_router.rank_detailed(
+    private_router = IQNRouter(PerPeerAggregation())
+    private_plan = private_router.rank_detailed(
         context_over(private, spec, num_peers, seed=seed), MAX_PEERS
     )
-    assert object_router.last_stats.attach == "objects"
+    assert private_router.last_stats.attach == "columns"
     naive = IQNRouter(PerPeerAggregation(), fast_path=False).rank_detailed(
         make_context(directory, spec, num_peers, seed=seed), MAX_PEERS
     )
     rows = lambda plan: [(s.peer_id, s.quality, s.novelty) for s in plan]
-    assert rows(columnar) == rows(object_plan) == rows(naive), (
+    assert rows(columnar) == rows(private_plan) == rows(naive), (
         f"plan divergence for {spec_label} at {num_peers} peers"
     )
 

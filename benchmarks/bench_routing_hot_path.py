@@ -7,9 +7,13 @@ and the fast path, records wall time and novelty-evaluation counts,
 verifies the plans are bit-identical, and saves the comparison table
 under ``benchmarks/results/routing_hot_path.txt``.
 
+The contexts are hand-built ``PeerList(term=...)`` lists, each on its
+own private peer-id table, so the fast-path time includes re-interning
+the lists onto one table before the columnar kernels attach.
+
 CI runs this module with ``BENCH_HOT_PATH_QUICK=1``, which shrinks the
-candidate sweep so the fast path (both tiers, all families) is exercised
-on every PR in seconds.
+candidate sweep so the fast path (CELF and incremental kernels, all
+families) is exercised on every CI run in seconds.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ def run_once(spec_label, num_peers):
         "spec": spec_label,
         "candidates": fast.last_stats.candidates,
         "mode": fast.last_stats.mode,
+        "attach": fast.last_stats.attach,
         "naive_evals": naive.last_stats.novelty_evaluations,
         "fast_evals": fast.last_stats.novelty_evaluations,
         "eval_ratio": (
@@ -167,6 +172,7 @@ def test_plans_identical_everywhere(comparison):
 
 def test_every_family_uses_its_fast_tier(comparison):
     modes = {r["spec"]: r["mode"] for r in comparison}
+    assert all(r["attach"] == "columns" for r in comparison)
     assert modes["bf-2048"] == "celf"
     for label in ("mips-64", "hs-32", "ll-128"):
         assert modes[label] == "incremental"

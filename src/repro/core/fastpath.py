@@ -63,20 +63,17 @@ from ..synopses.bloom import (
     BloomFilter,
     batch_difference_popcounts,
     pack_bit_row,
-    pack_bit_rows,
     popcount_cardinality_table,
 )
 from ..synopses.hashsketch import (
     HashSketch,
     first_zero_positions,
     pack_bitmap_row,
-    pack_bitmap_rows,
     rho_sum_cardinality_table,
 )
 from ..synopses.loglog import (
     LogLogCounter,
     pack_register_row,
-    pack_register_rows,
     register_cardinality_tables,
 )
 from ..synopses.mips import (
@@ -84,7 +81,6 @@ from ..synopses.mips import (
     MinWisePermutations,
     batch_match_counts,
     pack_minima_row,
-    pack_minima_rows,
 )
 from .aggregation import PerPeerAggregation, PerTermAggregation
 from .stopping import StoppingCriterion
@@ -95,7 +91,6 @@ if TYPE_CHECKING:  # annotation-only — a runtime import would be cyclic
 __all__ = [
     "RoutingStats",
     "FastPathUnsupported",
-    "fast_rank_detailed",
     "column_rank_detailed",
 ]
 
@@ -116,10 +111,9 @@ class RoutingStats:
     counts over rounds — so ``naive_evaluations / novelty_evaluations``
     is the measured savings factor.
 
-    ``attach`` records where the kernels got their matrices: ``"columns"``
-    when they attached straight to the directory's packed column store
-    (:func:`column_rank_detailed`), ``"objects"`` when per-peer synopsis
-    objects were packed at query time.
+    ``attach`` is ``"columns"`` when the plan came from the kernels
+    attached to packed column stores (:func:`column_rank_detailed`) and
+    ``"none"`` when the naive loop ranked.
     """
 
     mode: str
@@ -128,7 +122,7 @@ class RoutingStats:
     novelty_evaluations: int = 0
     naive_evaluations: int = 0
     bound_refreshes: int = 0
-    attach: str = "objects"
+    attach: str = "none"
 
     @property
     def evaluation_savings(self) -> float:
@@ -143,19 +137,19 @@ class RoutingStats:
 # One "column" tracks every candidate's synopsis against one reference
 # synopsis: the per-peer strategy uses a single column over combined
 # query synopses, the per-term strategy one column per query term.
-# Constructors raise FastPathUnsupported for anything the vectorized
-# kernels cannot represent exactly (foreign synopsis types, mismatched
-# parameters, heterogeneous MIPs lengths, >64-bit sketch bitmaps); the
-# router then falls back to the naive loop, which handles — or raises
-# on — those cases with the reference semantics.
+# Kernels take already-packed matrices gathered from the column stores.
+# Anything they cannot represent exactly (foreign reference types,
+# >64-bit sketch bitmaps, stored columns whose family or parameters do
+# not match the reference) raises FastPathUnsupported; the router then
+# falls back to the naive loop, which handles — or raises on — those
+# cases with the reference semantics.
 
 
 class _BloomColumn:
     """Packed-bit Bloom novelty kernel (CELF tier).
 
-    Operates on an already-packed ``(C, words)`` uint64 bit-matrix —
-    either gathered zero-copy from the directory's column store or packed
-    from per-peer objects via :meth:`from_objects`.
+    Operates on an already-packed ``(C, words)`` uint64 bit-matrix
+    gathered from the column store.
     """
 
     def __init__(
@@ -175,33 +169,6 @@ class _BloomColumn:
             reference.num_bits, reference.num_hashes
         )
         self._reference_row = pack_bit_row(reference.raw_bits, self._m)
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_BloomColumn":
-        if type(reference) is not BloomFilter:
-            raise FastPathUnsupported("reference is not a plain BloomFilter")
-        params = (reference.num_bits, reference.num_hashes, reference.seed)
-        bits: list[int] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                bits.append(0)
-                continue
-            if type(synopsis) is not BloomFilter or (
-                synopsis.num_bits,
-                synopsis.num_hashes,
-                synopsis.seed,
-            ) != params:
-                raise FastPathUnsupported("heterogeneous Bloom parameters")
-            bits.append(synopsis.raw_bits)
-        return cls(
-            pack_bit_rows(bits, reference.num_bits), cards, active, reference
-        )
 
     def batch(self) -> np.ndarray:
         popcounts = batch_difference_popcounts(self._rows, self._reference_row)
@@ -245,31 +212,6 @@ class _MipsColumn:
         self._cand_empty = (self._rows == MIPS_MODULUS).all(axis=1)
         self._ref_empty = bool((self._reference_row == MIPS_MODULUS).all())
         self._maintained = active & ~self._cand_empty
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_MipsColumn":
-        if type(reference) is not MinWisePermutations:
-            raise FastPathUnsupported("reference is not a plain MIPs synopsis")
-        length = reference.num_permutations
-        packable: list[MinWisePermutations | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if (
-                type(synopsis) is not MinWisePermutations
-                or synopsis.seed != reference.seed
-                or synopsis.num_permutations != length
-            ):
-                raise FastPathUnsupported("heterogeneous MIPs vectors")
-            packable.append(synopsis)
-        return cls(pack_minima_rows(packable, length), cards, active, reference)
 
     def refresh_reference(self, reference: Any) -> np.ndarray:
         new_row = pack_minima_row(reference)
@@ -346,38 +288,6 @@ class _HashSketchColumn:
         self._cand_empty = (self._rows == 0).all(axis=1)
         self._maintained = active & ~self._cand_empty
 
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_HashSketchColumn":
-        if type(reference) is not HashSketch:
-            raise FastPathUnsupported("reference is not a plain HashSketch")
-        if reference.bitmap_length > 64:
-            raise FastPathUnsupported("sketch bitmaps exceed one machine word")
-        params = (reference.num_bitmaps, reference.bitmap_length, reference.seed)
-        packable: list[HashSketch | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if type(synopsis) is not HashSketch or (
-                synopsis.num_bitmaps,
-                synopsis.bitmap_length,
-                synopsis.seed,
-            ) != params:
-                raise FastPathUnsupported("heterogeneous hash-sketch parameters")
-            packable.append(synopsis)
-        return cls(
-            pack_bitmap_rows(packable, reference.num_bitmaps),
-            cards,
-            active,
-            reference,
-        )
-
     def refresh_reference(self, reference: Any) -> np.ndarray:
         new_row = pack_bitmap_row(reference)
         touched = np.zeros(len(self._rows), dtype=bool)
@@ -441,31 +351,6 @@ class _LogLogColumn:
         self._cand_empty = (rows == 0).all(axis=1)
         self._maintained = active & ~self._cand_empty
 
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_LogLogColumn":
-        if type(reference) is not LogLogCounter:
-            raise FastPathUnsupported("reference is not a plain LogLogCounter")
-        buckets = reference.num_buckets
-        packable: list[LogLogCounter | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if (
-                type(synopsis) is not LogLogCounter
-                or synopsis.seed != reference.seed
-                or synopsis.num_buckets != buckets
-            ):
-                raise FastPathUnsupported("heterogeneous LogLog parameters")
-            packable.append(synopsis)
-        return cls(pack_register_rows(packable, buckets), cards, active, reference)
-
     def refresh_reference(self, reference: Any) -> np.ndarray:
         new_row = pack_register_row(reference)
         touched = np.zeros(len(self._merged), dtype=bool)
@@ -507,125 +392,17 @@ _COLUMN_TYPES = {
 }
 
 
-def _make_column(
-    synopses: Sequence[Any],
-    cards: Sequence[float],
-    active: np.ndarray,
-    reference: Any,
-) -> Any:
-    column_type = _COLUMN_TYPES.get(type(reference))
-    if column_type is None:
-        raise FastPathUnsupported(
-            f"no vectorized kernel for {type(reference).__name__}"
-        )
-    return column_type.from_objects(synopses, cards, active, reference)
-
-
-# -- strategy adapters -------------------------------------------------------
-
-
-class _PerPeerAdapter:
-    """Single column over per-candidate combined query synopses."""
-
-    def __init__(
-        self,
-        aggregation: PerPeerAggregation,
-        context: RoutingContext,
-        candidates: list[CandidatePeer],
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
-        synopses: list[Any] = []
-        cards: list[float] = []
-        active: list[bool] = []
-        for candidate in candidates:
-            combined, cardinality = aggregation.combine(self.state, candidate)
-            ok = combined is not None and cardinality > 0.0
-            synopses.append(combined if ok else None)
-            cards.append(cardinality if ok else 0.0)
-            active.append(ok)
-        if any(card < 0.0 for card in cards):
-            raise FastPathUnsupported("negative candidate cardinality")
-        active_mask = np.asarray(active, dtype=bool)
-        self.columns = [
-            _make_column(synopses, cards, active_mask, self.state.reference)
-        ]
-
-    def references(self) -> list[Any]:
-        return [self.state.reference]
-
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinality]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
-
-
-class _PerTermAdapter:
-    """One column per query term over the posted term synopses."""
-
-    def __init__(
-        self,
-        aggregation: PerTermAggregation,
-        context: RoutingContext,
-        candidates: list[CandidatePeer],
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
-        self.terms = list(context.query.terms)
-        self.columns: list[Any] = []
-        for term in self.terms:
-            synopses: list[Any] = []
-            cards: list[float] = []
-            active: list[bool] = []
-            for candidate in candidates:
-                post = candidate.post(term)
-                ok = (
-                    post is not None
-                    and post.synopsis is not None
-                    and post.cdf != 0
-                )
-                synopses.append(post.synopsis if ok else None)
-                cards.append(float(post.cdf) if ok else 0.0)
-                active.append(ok)
-            if any(card < 0.0 for card in cards):
-                raise FastPathUnsupported("negative candidate cardinality")
-            self.columns.append(
-                _make_column(
-                    synopses,
-                    cards,
-                    np.asarray(active, dtype=bool),
-                    self.state.references[term],
-                )
-            )
-
-    def references(self) -> list[Any]:
-        return [self.state.references[term] for term in self.terms]
-
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinalities[term] for term in self.terms]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
-
-
 # -- columnar attach ---------------------------------------------------------
 #
-# When the directory stores synopses in packed per-term columns
-# (repro.synopses.columnstore), the kernels above can attach to gathered
-# slices of the stored matrices instead of re-packing per-peer objects:
-# packing is an ingest-time cost, amortized across queries.  Everything
-# below reproduces the object adapters bit-for-bit — the gathered
-# matrices equal what from_objects would have packed (absent/inactive
-# rows are the family's neutral payload), the cardinality clamps run the
-# same float operations in the same association, and the shared drivers
-# then see identical inputs.
+# Every PeerList stores its synopses in packed per-term columns
+# (repro.synopses.columnstore), so the kernels above attach to gathered
+# slices of the stored matrices: packing is an ingest-time cost,
+# amortized across queries.  Everything below reproduces the naive
+# loop's aggregation bit-for-bit — absent/inactive rows hold the
+# family's neutral payload (what an absent synopsis contributes), the
+# cardinality clamps run the same float operations in the same
+# association, and `_run_celf` / `_run_incremental` then see identical
+# inputs.
 
 
 def _store_params(reference: Any) -> tuple[Any, tuple[int, ...]]:
@@ -664,8 +441,7 @@ def _term_matrix(
     """One term's stored column gathered into candidate order.
 
     ``column is None`` means no peer ever posted a packable synopsis for
-    the term — every candidate row is neutral, exactly what the object
-    path packs for ``None`` synopses.
+    the term — every candidate row is neutral, the empty synopsis.
     """
     if column is None:
         return store_cls(*params, 1).neutral_matrix(count)
@@ -695,9 +471,9 @@ def _fold_conjunctive(
     """Row-wise intersection fold, mirroring ``PerPeerAggregation.combine``.
 
     Hash sketches and LogLog counters raise ``UnsupportedOperationError``
-    on every pairwise intersect; with the crude fallback enabled the
-    object path degrades each pair to a union, so the whole fold *is* the
-    union fold.  Without the fallback the object path raises a
+    on every pairwise intersect; with the crude fallback enabled
+    ``combine`` degrades each pair to a union, so the whole fold *is* the
+    union fold.  Without the fallback ``combine`` raises a
     non-FastPathUnsupported error the naive loop must surface — defer to
     it.  A single-term fold never intersects at all.
     """
@@ -864,8 +640,8 @@ class _ColumnPerPeerAdapter:
         if conj_ok is not None:
             active &= conj_ok
         cards = np.where(active, cards, 0.0)
-        # Inactive rows must hold the neutral payload — exactly how the
-        # object path packs candidates that cannot contribute.
+        # Inactive rows must hold the neutral payload: candidates that
+        # cannot contribute add nothing to any fold or estimate.
         combined[~active] = store_cls.neutral
         self.columns = [kernel_cls(combined, cards, active, reference)]
 
@@ -978,13 +754,13 @@ def column_rank_detailed(
 ) -> tuple[list[tuple[str, float, float]], RoutingStats]:
     """Run Select-Best-Peer directly on the directory's packed columns.
 
-    The fastest tier: candidate assembly, CORI scoring, and the novelty
-    kernels all read gathered slices of the stored matrices — no per-peer
-    Python objects exist on the hot path.  Plans are bit-identical to
-    both the object fast path and the naive loop.  Raises
-    :class:`FastPathUnsupported` — always before mutating shared state —
-    when the context is not column-backed or the configuration needs the
-    object tiers.
+    Candidate assembly, CORI scoring, and the novelty kernels all read
+    gathered slices of the stored matrices — no per-peer Python objects
+    exist on the hot path.  Plans are bit-identical to the naive loop.
+    Raises :class:`FastPathUnsupported` — always before mutating shared
+    state — when the lists hold foreign synopses or the configuration
+    (aggregation strategy, synopsis family or parameters) has no exact
+    kernel; the router then runs the naive loop.
     """
     aggregation_type = type(aggregation)
     if aggregation_type not in (PerPeerAggregation, PerTermAggregation):
@@ -1217,48 +993,3 @@ def _run_incremental(
         ):
             break
     return plan
-
-
-# -- entry point -------------------------------------------------------------
-
-
-def fast_rank_detailed(
-    context: RoutingContext,
-    aggregation: Any,
-    qualities: dict[str, float],
-    stopping: StoppingCriterion,
-    max_peers: int,
-) -> tuple[list[tuple[str, float, float]], RoutingStats]:
-    """Run Select-Best-Peer on the fast path.
-
-    Returns ``(plan, stats)`` where plan entries are
-    ``(peer_id, quality, novelty)`` tuples bit-identical to the naive
-    loop's selections.  Raises :class:`FastPathUnsupported` — always
-    *before* mutating any shared state — when the configuration needs
-    the naive reference implementation (exotic aggregation strategies,
-    mixed synopsis parameters, unsupported families).
-    """
-    aggregation_type = type(aggregation)
-    candidates = context.candidates()
-    adapter: _PerPeerAdapter | _PerTermAdapter
-    if aggregation_type is PerPeerAggregation:
-        adapter = _PerPeerAdapter(aggregation, context, candidates)
-    elif aggregation_type is PerTermAggregation:
-        adapter = _PerTermAdapter(aggregation, context, candidates)
-    else:
-        raise FastPathUnsupported(
-            f"no fast path for aggregation strategy {aggregation_type.__name__}"
-        )
-    celf = isinstance(adapter.columns[0], _CELF_COLUMNS)
-    stats = RoutingStats(
-        mode="celf" if celf else "incremental", candidates=len(candidates)
-    )
-    peer_ids = [candidate.peer_id for candidate in candidates]
-    qualities_array = np.array(
-        [qualities[peer_id] for peer_id in peer_ids], dtype=np.float64
-    )
-    driver = _run_celf if celf else _run_incremental
-    plan = driver(
-        adapter, candidates, qualities_array, peer_ids, stopping, max_peers, stats
-    )
-    return plan, stats

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from ..routing.base import PeerSelector, RoutingContext
 from ..routing.cori import CORI_ALPHA, cori_scores
 from .aggregation import AggregationStrategy, PerPeerAggregation
-from .fastpath import (
-    FastPathUnsupported,
-    RoutingStats,
-    column_rank_detailed,
-    fast_rank_detailed,
-)
+from .fastpath import FastPathUnsupported, RoutingStats, column_rank_detailed
 from .stopping import MaxPeers, StoppingCriterion
 
 __all__ = ["IQNSelection", "IQNRouter"]
@@ -66,9 +61,12 @@ class IQNRouter(PeerSelector):
     alpha:
         CORI's default-belief parameter for the quality component.
     fast_path:
-        Use the vectorized + lazy-greedy Select-Best-Peer implementation
-        (:mod:`repro.core.fastpath`) when the configuration supports it,
-        falling back to the naive loop otherwise.  Plans are bit-identical
+        Run Select-Best-Peer on the vectorized + lazy-greedy kernels
+        attached to the PeerLists' packed columns
+        (:func:`repro.core.fastpath.column_rank_detailed`) when the
+        configuration supports it, falling back to the naive loop
+        otherwise (non-plain aggregation strategies, foreign synopsis
+        objects, mixed synopsis parameters).  Plans are bit-identical
         either way; disable only to benchmark or debug against the naive
         reference implementation.
 
@@ -101,7 +99,7 @@ class IQNRouter(PeerSelector):
 
     def cache_signature(self) -> str:
         """Every knob that can change the ranked plan (``fast_path`` is
-        excluded: both tiers are bit-identical by construction)."""
+        excluded: both paths are bit-identical by construction)."""
         stopping = "" if self.stopping is None else self.stopping.cache_signature()
         return (
             f"{type(self).__name__}"
@@ -119,8 +117,8 @@ class IQNRouter(PeerSelector):
         stopping = self.stopping or MaxPeers(max_peers)
 
         if self.fast_path:
-            # Fastest tier: attach directly to the directory's packed
-            # columns — no per-peer objects on the hot path at all.
+            # Attach directly to the lists' packed columns — no per-peer
+            # objects on the hot path at all.
             try:
                 plan_rows, stats = column_rank_detailed(
                     context,
@@ -131,7 +129,7 @@ class IQNRouter(PeerSelector):
                     quality_weighted=self.quality_weighted,
                 )
             except FastPathUnsupported:
-                pass  # not column-backed, or a config the kernels can't run
+                pass  # a configuration the kernels can't represent exactly
             else:
                 self.last_stats = stats
                 return [
@@ -148,20 +146,6 @@ class IQNRouter(PeerSelector):
             if self.quality_weighted
             else {peer_id: 1.0 for peer_id in candidates}
         )
-
-        if self.fast_path:
-            try:
-                plan_rows, stats = fast_rank_detailed(
-                    context, self.aggregation, qualities, stopping, max_peers
-                )
-            except FastPathUnsupported:
-                pass  # configurations the kernels can't represent exactly
-            else:
-                self.last_stats = stats
-                return [
-                    IQNSelection(peer_id=peer_id, quality=quality, novelty=novelty)
-                    for peer_id, quality, novelty in plan_rows
-                ]
 
         stats = RoutingStats(mode="naive", candidates=len(candidates))
         state = self.aggregation.start(context)

@@ -119,12 +119,6 @@ class RoutingContext:
         from .columns import columnar_term_space_average
 
         average = columnar_term_space_average(self.peer_lists)
-        if average is None:
-            sizes: dict[str, int] = {}
-            for peer_list in self.peer_lists.values():
-                for post in peer_list:
-                    sizes[post.peer_id] = post.term_space_size
-            average = sum(sizes.values()) / len(sizes) if sizes else 1.0
         self._avg_term_space_cache = average
         return average
 

@@ -1,22 +1,28 @@
-"""Zero-copy columnar candidate view over column-backed PeerLists.
+"""Columnar candidate view over column-backed PeerLists.
 
-The object routing path assembles one :class:`CandidatePeer` per peer
-per query — a Python dict walk that dominates query time past ~10^3
-peers.  When every PeerList in the query is backed by a
-:class:`~repro.synopses.columnstore.TermColumns` sharing one interned
-peer-id table (the invariant :class:`~repro.minerva.directory.Directory`
-maintains), candidate assembly reduces to array ops: a sorted-unique
-union of interned ids, one inverse-permutation gather per term, and
-vectorized CORI scoring — no per-peer Python loop.
+Assembling one :class:`CandidatePeer` per peer per query is a Python
+dict walk that dominates query time past ~10^3 peers.  Every PeerList
+is backed by a :class:`~repro.synopses.columnstore.TermColumns`, so
+candidate assembly reduces to array ops: a sorted-unique union of
+interned ids, one inverse-permutation gather per term, and vectorized
+CORI scoring — no per-peer Python loop.
 
-Everything here reproduces the object path bit-for-bit: gathers follow
-the same dict-iteration order, CORI runs the same float operations in
-the same association, and candidate order equals ``sorted(peer_ids)``
-because numpy ``<U`` comparison is Python code-point order.
+The gathers need every non-empty list keyed on one interned peer-id
+table.  Directory lists share one (the invariant
+:class:`~repro.minerva.directory.Directory` maintains); lists built on
+different tables — hand-built ``PeerList(term=...)`` each get a private
+one — are first re-interned onto one fresh table
+(:meth:`TermColumns.reintern`), which keeps every row's content.
+
+Everything here reproduces the scalar definitions bit-for-bit: gathers
+follow the same dict-iteration order, CORI runs the same float
+operations in the same association, and candidate order equals
+``sorted(peer_ids)`` because numpy ``<U`` comparison is Python
+code-point order.
 
 :class:`ColumnViewUnavailable` signals contexts the columnar path cannot
-serve (hand-built lists on foreign tables, foreign synopsis objects);
-callers fall back to the object tier.
+serve (lists holding foreign synopsis objects); the router falls back to
+the naive loop.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from ..synopses.columnstore import PeerIdTable, TermColumns
 from .cori import CORI_ALPHA
 
 if TYPE_CHECKING:
+    from ..minerva.posts import PeerList
     from .base import RoutingContext
 
 __all__ = [
@@ -60,24 +67,27 @@ class TermGather:
     term_space: np.ndarray
 
 
-def _shared_table(per_term: list[TermColumns]) -> PeerIdTable | None:
-    """The single peer-id table behind all non-empty term columns.
+def _on_one_table(
+    per_term: list[TermColumns],
+) -> tuple[PeerIdTable | None, list[TermColumns]]:
+    """``per_term`` with every non-empty column keyed on one table.
 
     Empty columns are table-agnostic (nothing to gather), so a fresh
-    empty PeerList from a directory miss never blocks the view.  Returns
+    empty PeerList from a directory miss never forces a copy.  Columns
+    already sharing a table come back as they are; otherwise every
+    non-empty one is re-interned onto one fresh table.  The table is
     ``None`` when every column is empty.
     """
-    table: PeerIdTable | None = None
-    for columns in per_term:
-        if len(columns) == 0:
-            continue
-        if table is None:
-            table = columns.table
-        elif columns.table is not table:
-            raise ColumnViewUnavailable(
-                "peer lists span different peer-id tables"
-            )
-    return table
+    tables = {
+        id(columns.table): columns.table for columns in per_term if len(columns)
+    }
+    if len(tables) <= 1:
+        return next(iter(tables.values()), None), per_term
+    table = PeerIdTable()
+    return table, [
+        columns.reintern(table) if len(columns) else columns
+        for columns in per_term
+    ]
 
 
 class ColumnContextView:
@@ -116,7 +126,7 @@ class ColumnContextView:
                     "peer list holds foreign synopsis objects"
                 )
             per_term.append(columns)
-        table = _shared_table(per_term)
+        table, per_term = _on_one_table(per_term)
         if table is None:
             # Every list is empty: no candidates regardless of table.
             table = per_term[0].table
@@ -197,27 +207,16 @@ def cori_score_array(
     return total / float(len(context.query.terms))
 
 
-def columnar_term_space_average(
-    peer_lists: Mapping[str, object],
-) -> float | None:
-    """``average_term_space_size`` from packed columns, or ``None``.
+def columnar_term_space_average(peer_lists: Mapping[str, "PeerList"]) -> float:
+    """CORI's ``|V_avg|`` over the fetched lists, from packed columns.
 
-    Mirrors the scalar path exactly: last-write-wins per peer across the
-    peer lists in dict order, integer sum, then one float division.
-    Returns ``None`` when any list is not column-backed or the lists
-    span different peer-id tables — the caller falls back to the scalar
-    dict loop.
+    Last write wins per peer across the peer lists in dict order, then
+    an integer sum and one float division; ``1.0`` when no list holds a
+    peer.
     """
-    per_term: list[TermColumns] = []
-    for peer_list in peer_lists.values():
-        columns = getattr(peer_list, "columns", None)
-        if not isinstance(columns, TermColumns):
-            return None
-        per_term.append(columns)
-    try:
-        table = _shared_table(per_term)
-    except ColumnViewUnavailable:
-        return None
+    table, per_term = _on_one_table(
+        [peer_list.columns for peer_list in peer_lists.values()]
+    )
     if table is None:
         return 1.0
     values = np.zeros(len(table), dtype=np.int64)
@@ -229,6 +228,4 @@ def columnar_term_space_average(
         values[interned] = columns.term_space_values()
         seen[interned] = True
     count = int(np.count_nonzero(seen))
-    if count == 0:
-        return 1.0
     return int(values[seen].sum()) / count

@@ -45,7 +45,6 @@ __all__ = [
     "cardinality_from_popcount",
     "popcount_cardinality_table",
     "pack_bit_row",
-    "pack_bit_rows",
     "batch_difference_popcounts",
     "bloom_word_rows",
 ]
@@ -113,17 +112,6 @@ def pack_bit_row(bits: int, num_bits: int) -> np.ndarray:
     ).copy()
 
 
-def pack_bit_rows(bit_vectors: Iterable[int], num_bits: int) -> np.ndarray:
-    """Pack big-int bit vectors into a ``(C, ceil(m/64))`` uint64 matrix."""
-    num_words = (num_bits + 63) // 64
-    vectors = list(bit_vectors)
-    if not vectors:
-        return np.zeros((0, num_words), dtype=np.uint64)
-    payload = b"".join(b.to_bytes(num_words * 8, "little") for b in vectors)
-    rows = np.frombuffer(payload, dtype="<u8").reshape(len(vectors), num_words)
-    return rows.copy()
-
-
 def bloom_word_rows(
     flat_ids: np.ndarray,
     counts: Sequence[int] | np.ndarray,
@@ -137,7 +125,7 @@ def bloom_word_rows(
     back to back, ``counts[i]`` of them for set ``i``.  Each probe is
     hashed once over the whole array and its bit positions are OR-ed
     into the set's row, so row ``i`` is bit-for-bit the filter of set
-    ``i`` — the layout :func:`pack_bit_rows` gives its big-int payload.
+    ``i`` — the layout :func:`pack_bit_row` gives its big-int payload.
     """
     num_words = (num_bits + 63) // 64
     rows = np.zeros((len(counts), num_words), dtype=np.uint64)

@@ -217,8 +217,7 @@ class SynopsisColumn:
 
         ``rows`` maps output position to stored row (``-1`` = absent);
         positions where ``mask`` is false — or the row is absent — come
-        out neutral, exactly matching how the object-path kernels pack
-        ``None`` synopses.
+        out neutral, the empty synopsis.
         """
         out = self._make_matrix(len(rows))
         take = mask & (rows >= 0)
@@ -723,6 +722,28 @@ class TermColumns:
         other untouched.
         """
         return TermColumns._gather(self.term, self._table, [(self, rows)])
+
+    def reintern(self, table: PeerIdTable) -> "TermColumns":
+        """A detached copy of every row, in row order, keyed on ``table``.
+
+        Each peer id is interned into ``table`` by name (names it lacks
+        are appended); metadata, packed rows, foreign synopses and
+        histograms follow their rows unchanged, so the Posts the copy
+        materializes equal the source's.  Lets lists built on different
+        tables meet on one.
+        """
+        out = self.take(np.arange(self._size, dtype=np.int64))
+        old_ids = out.interned_ids().tolist()
+        new_ids = [table.intern(self._table.name(old)) for old in old_ids]
+        remap = dict(zip(old_ids, new_ids))
+        out._table = table
+        out._peer_ids[: out._size] = new_ids
+        out._row_of = dict(zip(new_ids, range(out._size)))
+        out._foreign = {remap[key]: value for key, value in out._foreign.items()}
+        out._histograms = {
+            remap[key]: value for key, value in out._histograms.items()
+        }
+        return out
 
     @staticmethod
     def concat(

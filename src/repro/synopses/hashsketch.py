@@ -46,7 +46,6 @@ __all__ = [
     "cardinality_from_rho_sum",
     "rho_sum_cardinality_table",
     "pack_bitmap_row",
-    "pack_bitmap_rows",
     "first_zero_positions",
 ]
 
@@ -88,21 +87,6 @@ def pack_bitmap_row(synopsis: "HashSketch") -> np.ndarray:
     return np.fromiter(
         synopsis._bitmaps, dtype=np.uint64, count=synopsis._num_bitmaps
     )
-
-
-def pack_bitmap_rows(
-    synopses: Sequence["HashSketch | None"], num_bitmaps: int
-) -> np.ndarray:
-    """Stack sketches into a ``(C, m)`` uint64 bitmap matrix.
-
-    ``None`` entries become all-zero rows (the empty sketch) so row
-    indices stay aligned with the candidate list.
-    """
-    rows = np.zeros((len(synopses), num_bitmaps), dtype=np.uint64)
-    for index, synopsis in enumerate(synopses):
-        if synopsis is not None:
-            rows[index] = pack_bitmap_row(synopsis)
-    return rows
 
 
 def first_zero_positions(bitmaps: np.ndarray, bitmap_length: int) -> np.ndarray:

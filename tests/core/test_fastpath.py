@@ -5,6 +5,11 @@ must produce plans *bit-identical* to the naive Select-Best-Peer loop —
 same peers in the same order with equal quality and novelty floats —
 while performing strictly fewer novelty evaluations.  Unsupported
 configurations must fall back to the naive loop transparently.
+
+The contexts here are hand-built: every ``PeerList(term=...)`` interns
+peer ids on its own private table, so multi-term queries exercise the
+re-interning that puts the lists on one table before the columnar
+kernels attach.
 """
 
 import random
@@ -13,7 +18,11 @@ import pytest
 
 from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
 from repro.core.correlations import CorrelationAwarePerTerm
-from repro.core.fastpath import FastPathUnsupported, RoutingStats, fast_rank_detailed
+from repro.core.fastpath import (
+    FastPathUnsupported,
+    RoutingStats,
+    column_rank_detailed,
+)
 from repro.core.histogram_routing import HistogramAggregation
 from repro.core.iqn import IQNRouter
 from repro.core.stopping import AnyOf, CoverageTarget, MaxPeers, MinimumNoveltyGain
@@ -95,12 +104,19 @@ def plan_rows(selections):
     return [(s.peer_id, s.quality, s.novelty) for s in selections]
 
 
-def rank_both(context_args, router_args, max_peers=10):
-    """Rank the same scenario with the naive loop and the fast path."""
+def rank_both(context_args, router_args, max_peers=10, *, attach="columns"):
+    """Rank the same scenario with the naive loop and the fast path.
+
+    ``attach`` is what the fast router must report: ``"columns"`` when
+    the columnar kernels rank, ``"none"`` when it falls back to the
+    naive loop.
+    """
     naive = IQNRouter(fast_path=False, **router_args)
     fast = IQNRouter(**router_args)
     plan_naive = naive.rank_detailed(make_context(**context_args), max_peers)
     plan_fast = fast.rank_detailed(make_context(**context_args), max_peers)
+    assert naive.last_stats.attach == "none"
+    assert fast.last_stats.attach == attach
     return plan_naive, plan_fast, naive.last_stats, fast.last_stats
 
 
@@ -183,6 +199,7 @@ class TestPlanEquivalence:
         assert plan_rows(fast.rank_detailed(context_fast, 8)) == plan_rows(
             naive.rank_detailed(context_naive, 8)
         )
+        assert fast.last_stats.attach == "columns"
 
 
 class TestFallback:
@@ -212,16 +229,16 @@ class TestFallback:
         plan_naive, plan_fast, _, fast_stats = rank_both(
             dict(seed=1, spec_label="mips-32"),
             dict(aggregation=CorrelationAwarePerTerm()),
+            attach="none",
         )
         assert fast_stats.mode == "naive"
         assert plan_rows(plan_fast) == plan_rows(plan_naive)
 
     def test_fast_rank_detailed_raises_for_unknown_strategy(self):
         context = make_context(0)
-        qualities = {c.peer_id: 1.0 for c in context.candidates()}
         with pytest.raises(FastPathUnsupported):
-            fast_rank_detailed(
-                context, HistogramAggregation(), qualities, MaxPeers(5), 5
+            column_rank_detailed(
+                context, HistogramAggregation(), MaxPeers(5), 5
             )
 
     def test_mixed_synopsis_parameters_fall_back(self):
@@ -244,6 +261,7 @@ class TestFallback:
         router = IQNRouter()
         plan = router.rank(context, 5)
         assert router.last_stats.mode == "naive"
+        assert router.last_stats.attach == "none"
         assert plan  # the naive loop still ranks the mixed directory
 
     def test_fast_path_disabled_by_flag(self):
@@ -276,6 +294,11 @@ class TestRoutingStats:
         assert router.rank_detailed(context, 5) == []
         assert router.last_stats.mode == "empty"
         assert router.last_stats.candidates == 0
+        assert router.last_stats.attach == "columns"
+        naive = IQNRouter(fast_path=False)
+        assert naive.rank_detailed(context, 5) == []
+        assert naive.last_stats.mode == "empty"
+        assert naive.last_stats.attach == "none"
 
     def test_bloom_bounds_never_violated(self):
         # Bloom novelty is provably monotone; the defensive full-refresh
@@ -322,6 +345,7 @@ class TestRoutingStats:
         plan = router.rank_detailed(context, 5)
         stats = router.last_stats
         assert stats.mode == "naive"
+        assert stats.attach == "none"
         assert stats.candidates == len(context.candidates())
         assert stats.rounds == len(plan)
         assert stats.novelty_evaluations == stats.naive_evaluations

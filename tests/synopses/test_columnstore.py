@@ -1,10 +1,12 @@
 """The packed column store: round-trips, invariants, and bit-identical
-routing plans against the object-backed paths.
+routing plans against the naive loop.
 
 The columnar representation is only admissible because it is *exact*:
 ``materialize(pack(s)) == s`` for every family, and a routing plan
 computed from the stored matrices equals — float for float — the plan
-the per-peer object paths produce.  These tests pin both properties.
+the naive Select-Best-Peer loop produces over the materialized Posts,
+whether the lists share one peer-id table or are re-interned onto one.
+These tests pin both properties.
 """
 
 import pickle
@@ -370,6 +372,46 @@ class TestRowSlices:
         assert list(clone) == list(part)
         assert clone.size_in_bits == part.size_in_bits
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_reintern_remaps_ids_by_name(self, family):
+        source = mixed_list(family)
+        before = list(source)
+        source_ids = source.columns.interned_ids().copy()
+        table = PeerIdTable()
+        table.intern("someone-else")
+        table.intern("p05")
+        moved = source.columns.reintern(table)
+        assert moved.table is table
+        names = [table.name(i) for i in moved.interned_ids().tolist()]
+        assert names == [post.peer_id for post in before]
+        assert moved.row_for(table.lookup("p05")) == 5
+        assert table.lookup("p05") == 1 and len(table) == len(before) + 1
+        # Row order, metadata, packed rows, foreign synopses and
+        # histograms all follow their rows.
+        copy = PeerList.from_columns(moved)
+        assert list(copy) == before
+        assert [post.histogram is not None for post in copy] == [
+            post.histogram is not None for post in before
+        ]
+        assert not moved.is_pure
+        np.testing.assert_array_equal(
+            moved.synopsis_column.rows(len(moved)),
+            source.columns.synopsis_column.rows(len(source)),
+        )
+        assert copy.size_in_bits == source.size_in_bits
+        # The source keeps its table, ids and content, also after the
+        # copy is written to.
+        replacement = Post(
+            peer_id="p03", term="alpha", cdf=1, max_score=0.1, avg_score=0.1,
+            term_space_size=5, synopsis=FAMILIES[family]({1}),
+        )
+        copy.add(replacement, retain=False)
+        del copy.posts["p00"]
+        assert copy.get("p03") == replacement
+        assert source.columns.table is not table
+        np.testing.assert_array_equal(source.columns.interned_ids(), source_ids)
+        assert list(source) == before
+
     def test_concat_joins_parts_in_order(self):
         table = PeerIdTable()
         source = mixed_list("bloom", table=table)
@@ -402,7 +444,7 @@ class TestRowSlices:
 
 
 def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):
-    """One column-backed and one equal object-era directory snapshot."""
+    """One shared-table and one equal private-table directory snapshot."""
     rng = random.Random(seed)
     table = PeerIdTable()
     shared = {t: PeerList(term=t, peer_table=table) for t in terms}
@@ -429,8 +471,8 @@ def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):
     for term in terms:
         for post in posts_by_term[term]:
             shared[term].add(post, retain=False)
-    # Same content on per-list private tables: the columnar tier cannot
-    # attach (tables differ), so routing exercises the object paths.
+    # Same content on per-list private tables: routing re-interns the
+    # lists onto one table before the columnar kernels attach.
     private = {t: PeerList(term=t) for t in terms}
     for term in terms:
         for post in posts_by_term[term]:
@@ -468,7 +510,7 @@ def plan_rows(plan):
 
 
 class TestBitIdenticalRouting:
-    """Column-backed plans equal object-fastpath and naive plans exactly."""
+    """Shared-table, re-interned and naive plans are equal exactly."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("conjunctive", [False, True], ids=["disj", "conj"])
@@ -485,19 +527,20 @@ class TestBitIdenticalRouting:
         )
         assert columnar_router.last_stats is not None
         assert columnar_router.last_stats.attach == "columns"
-        object_router = IQNRouter(make_aggregation())
-        object_plan = object_router.rank_detailed(
+        private_router = IQNRouter(make_aggregation())
+        private_plan = private_router.rank_detailed(
             make_context(private, spec, conjunctive=conjunctive), 12
         )
-        assert object_router.last_stats is not None
-        assert object_router.last_stats.attach == "objects"
+        assert private_router.last_stats is not None
+        assert private_router.last_stats.attach == "columns"
         naive_router = IQNRouter(make_aggregation(), fast_path=False)
         naive = naive_router.rank_detailed(
             make_context(shared, spec, conjunctive=conjunctive), 12
         )
         assert naive_router.last_stats is not None
         assert naive_router.last_stats.mode == "naive"
-        assert plan_rows(columnar) == plan_rows(object_plan) == plan_rows(naive)
+        assert naive_router.last_stats.attach == "none"
+        assert plan_rows(columnar) == plan_rows(private_plan) == plan_rows(naive)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_novelty_only_ranking_agrees(self, spec):
@@ -505,28 +548,54 @@ class TestBitIdenticalRouting:
         columnar = IQNRouter(quality_weighted=False).rank_detailed(
             make_context(shared, spec), 8
         )
-        object_plan = IQNRouter(quality_weighted=False).rank_detailed(
+        private_plan = IQNRouter(quality_weighted=False).rank_detailed(
             make_context(private, spec), 8
         )
-        assert plan_rows(columnar) == plan_rows(object_plan)
+        naive = IQNRouter(quality_weighted=False, fast_path=False).rank_detailed(
+            make_context(shared, spec), 8
+        )
+        assert plan_rows(columnar) == plan_rows(private_plan) == plan_rows(naive)
 
-    def test_stats_counters_match_object_fast_path(self):
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("conjunctive", [False, True], ids=["disj", "conj"])
+    @pytest.mark.parametrize(
+        "make_aggregation",
+        [PerPeerAggregation, PerTermAggregation],
+        ids=["perpeer", "perterm"],
+    )
+    def test_mixed_tables_route_on_columns(
+        self, spec, conjunctive, make_aggregation
+    ):
+        # One directory-table list beside one private-table list.
+        shared, private = seeded_lists(spec, terms=("alpha", "beta"), seed=5)
+        directory_table = shared["alpha"].peer_table
+        interned_before = len(directory_table)
+        mixed = {"alpha": shared["alpha"], "beta": private["beta"]}
+        router = IQNRouter(make_aggregation())
+        plan = router.rank_detailed(
+            make_context(mixed, spec, conjunctive=conjunctive), 12
+        )
+        assert router.last_stats is not None
+        assert router.last_stats.attach == "columns"
+        naive = IQNRouter(make_aggregation(), fast_path=False).rank_detailed(
+            make_context(mixed, spec, conjunctive=conjunctive), 12
+        )
+        assert plan and plan_rows(plan) == plan_rows(naive)
+        # Re-interning uses a fresh table; the directory's stays as is.
+        assert len(directory_table) == interned_before
+
+    def test_stats_counters_match_shared_table(self):
         spec = SPECS[0]
         shared, private = seeded_lists(spec, seed=3)
-        columnar_router = IQNRouter()
-        columnar_router.rank_detailed(make_context(shared, spec), 10)
-        object_router = IQNRouter()
-        object_router.rank_detailed(make_context(private, spec), 10)
-        columnar_stats = columnar_router.last_stats
-        object_stats = object_router.last_stats
-        assert columnar_stats is not None and object_stats is not None
-        assert columnar_stats.mode == object_stats.mode
-        assert columnar_stats.candidates == object_stats.candidates
-        assert (
-            columnar_stats.novelty_evaluations
-            == object_stats.novelty_evaluations
-        )
-        assert columnar_stats.rounds == object_stats.rounds
+        shared_router = IQNRouter()
+        shared_router.rank_detailed(make_context(shared, spec), 10)
+        private_router = IQNRouter()
+        private_router.rank_detailed(make_context(private, spec), 10)
+        shared_stats = shared_router.last_stats
+        private_stats = private_router.last_stats
+        assert shared_stats is not None and private_stats is not None
+        assert shared_stats == private_stats
+        assert private_stats.attach == "columns"
 
     def test_empty_directory_routes_empty_via_columns(self):
         spec = SPECS[0]
